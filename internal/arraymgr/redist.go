@@ -6,7 +6,14 @@
 // and funnels everything through a single process's bandwidth. Here the
 // coordinator instead computes the owner-pair intersection schedule from
 // both arrays' distributions (darray.Meta.TransferSchedule) and ships
-// every non-empty src-owner→dst-owner piece directly:
+// every non-empty src-owner→dst-owner piece directly. The schedule is
+// planned in closed form: each side's owner split is a set of
+// per-dimension arithmetic progressions on the request lattice, and an
+// owner pair's piece is the product of their per-dimension
+// intersections — matching strided local rectangles when both arrays
+// are regular, paired storage offsets otherwise. Only a block-cyclic
+// dimension of width > 1 over several cells falls back to resolving
+// every lattice point. The shipping is the same either way:
 //
 //   - one redist_src message per remote source owner, carrying that
 //     owner's ships (the coordinator's own ships are serviced inline);
@@ -672,9 +679,9 @@ func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Sta
 // element srcLo+j moves to destination element dstLo+j for every
 // componentwise 0 <= j < dims, so the rectangle may land at a different
 // origin in the destination array (a panel handoff into column 0, a
-// shifted copy).
+// shifted copy). dstLo, srcLo and dims must have the same length.
 func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo, dims []int) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if m.machine.CheckProc(onProc) != nil || len(srcLo) != len(dstLo) || len(dims) != len(dstLo) {
 		return StatusInvalid
 	}
 	if st, ok := m.localRedistFast(onProc, dst, src, dstLo, srcLo, dims, nil); ok {
@@ -682,9 +689,7 @@ func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo,
 	}
 	hi := make([]int, len(dstLo))
 	for i := range hi {
-		if i < len(dims) {
-			hi[i] = dstLo[i] + dims[i]
-		}
+		hi[i] = dstLo[i] + dims[i]
 	}
 	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
 		return &request{op: "redistribute", id: dst, id2: src, lo: dstLo, hi: hi, lo2: srcLo}

@@ -388,6 +388,17 @@ func TestRedistributeErrors(t *testing.T) {
 	if st := m.RedistributeStrided(0, dst, src, []int{0}, []int{n}, []int{0}); st != StatusInvalid {
 		t.Errorf("zero step: %v, want STATUS_INVALID", st)
 	}
+	for _, c := range []struct{ dstLo, srcLo, dims []int }{
+		{[]int{0}, []int{0}, []int{4, 7}}, // dims longer than the rank
+		{[]int{0}, []int{0}, []int{}},
+		{[]int{0}, []int{0, 0}, []int{4}},
+		{[]int{0, 0}, []int{0}, []int{4}},
+		{[]int{0, 0}, []int{0, 0}, []int{4, 4}}, // consistent but of the wrong rank
+	} {
+		if st := m.RedistributeRect(0, dst, src, c.dstLo, c.srcLo, c.dims); st != StatusInvalid {
+			t.Errorf("RedistributeRect(dstLo %v, srcLo %v, dims %v): %v, want STATUS_INVALID", c.dstLo, c.srcLo, c.dims, st)
+		}
+	}
 	if st := m.FreeArray(0, src); st != StatusOK {
 		t.Fatalf("free: %v", st)
 	}

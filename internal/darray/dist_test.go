@@ -12,7 +12,7 @@ import (
 // distributed over gridDims with the given per-dimension specifications —
 // including uneven trailing blocks and cyclic layouts the legacy metaFor
 // helper (exact-divisible block) cannot express.
-func metaForDist(t *testing.T, dims, gridDims []int, specs []grid.Decomp, borders []int, ix grid.Indexing) *Meta {
+func metaForDist(t testing.TB, dims, gridDims []int, specs []grid.Decomp, borders []int, ix grid.Indexing) *Meta {
 	t.Helper()
 	dists, err := grid.ResolveDists(dims, gridDims, specs)
 	if err != nil {

@@ -16,6 +16,7 @@ package darray
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -62,13 +63,26 @@ func (s *Schedule) NPairs() int { return len(s.Blocks) + len(s.Sets) }
 // copying a lattice of elements from array src onto array dst: lattice
 // offset j (componentwise 0 <= j < dims, every step[i]-th per
 // dimension; step nil = dense) moves source element srcLo+j to
-// destination element dstLo+j. When both arrays are Regular the
-// intersections are computed by pairwise rectangle intersection of the
-// two owner splits in offset space; any irregular side routes through
-// the per-point ownership arithmetic (ResolveIndex), bucketing the
-// lattice by owner pair into paired storage-offset vectors. Ranks must
-// match and both rectangles are validated against their arrays; element
-// types may differ (values convert on write).
+// destination element dstLo+j.
+//
+// The plan is closed-form. Each side's rectangle splits by owner into
+// per-dimension arithmetic progressions on the request lattice (the
+// decomposition behind StridedShares), and every source progression of a
+// dimension is intersected with every destination progression of that
+// dimension (intersectProgressions: gcd and the Chinese remainder
+// theorem). An owner pair's piece is the product over dimensions of one
+// such intersection each, with its own source-side and destination-side
+// local progressions, so no lattice point is resolved on its own. When
+// both arrays are Regular the pieces are matching strided local
+// rectangles (Blocks: source owners in row-major cell order, each
+// followed by its destination owners in the same order); otherwise each
+// piece expands straight into paired storage offsets (Sets: pairs in
+// order of first appearance in row-major lattice order, offsets in
+// lattice order). A block-cyclic dimension of width > 1 over several
+// cells has no progression form; such schedules fall back to resolving
+// every lattice point on both sides (ResolveIndex), with the same Set
+// ordering. Ranks must match and both rectangles are validated against
+// their arrays; element types may differ (values convert on write).
 func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*Schedule, error) {
 	n := dst.NDims()
 	if src.NDims() != n || len(dstLo) != n || len(srcLo) != n || len(dims) != n {
@@ -78,8 +92,8 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	if step != nil && len(step) != n {
 		return nil, fmt.Errorf("darray: transfer schedule step of rank %d for %d dimensions", len(step), n)
 	}
-	srcHi := make([]int, n)
-	dstHi := make([]int, n)
+	bounds := make([]int, 2*n)
+	srcHi, dstHi := bounds[:n], bounds[n:]
 	for i := 0; i < n; i++ {
 		srcHi[i] = srcLo[i] + dims[i]
 		dstHi[i] = dstLo[i] + dims[i]
@@ -103,80 +117,311 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	if step != nil {
 		sched.Step = append([]int(nil), step...)
 	}
-	if src.Regular() && dst.Regular() {
-		var sBlocks, dBlocks []OwnerBlock
-		if step == nil {
-			sBlocks, err = src.OwnerBlocks(srcLo, srcHi)
-		} else {
-			sBlocks, err = src.OwnerBlocksStrided(srcLo, srcHi, step)
-		}
-		if err != nil {
+	sDims, sOK := src.dimShareLists(srcLo, srcHi, step)
+	dDims, dOK := dst.dimShareLists(dstLo, dstHi, step)
+	switch {
+	case !sOK || !dOK:
+		if sched.Sets, err = pointSets(dst, src, dstLo, srcLo, dims, step); err != nil {
 			return nil, err
 		}
-		if step == nil {
-			dBlocks, err = dst.OwnerBlocks(dstLo, dstHi)
-		} else {
-			dBlocks, err = dst.OwnerBlocksStrided(dstLo, dstHi, step)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Intersect every source block with every destination block in
-		// offset space (global minus the rectangle origin, so the two
-		// sides share coordinates). Block origins lie on the request
-		// lattice and the per-block global→local map is a unit-slope
-		// translation, so intersections translate back to local bounds
-		// by plain differences.
-		aLo := make([]int, n)
-		aHi := make([]int, n)
-		bLo := make([]int, n)
-		bHi := make([]int, n)
-		for _, sb := range sBlocks {
-			for i := 0; i < n; i++ {
-				aLo[i] = sb.GlobalLo[i] - srcLo[i]
-				aHi[i] = sb.GlobalHi[i] - srcLo[i]
-			}
-			for _, db := range dBlocks {
-				for i := 0; i < n; i++ {
-					bLo[i] = db.GlobalLo[i] - dstLo[i]
-					bHi[i] = db.GlobalHi[i] - dstLo[i]
-				}
-				var olo, ohi []int
-				var ok bool
-				if step == nil {
-					olo, ohi, ok = grid.IntersectRect(aLo, aHi, bLo, bHi)
-				} else {
-					olo, ohi, ok = grid.IntersectStridedRect(aLo, aHi, step, bLo, bHi)
-				}
-				if !ok {
-					continue
-				}
-				pb := PairBlock{
-					SrcProc: sb.Proc, DstProc: db.Proc,
-					SrcSlot: sb.Slot, DstSlot: db.Slot,
-					SrcLo: make([]int, n), SrcHi: make([]int, n),
-					DstLo: make([]int, n), DstHi: make([]int, n),
-				}
-				for i := 0; i < n; i++ {
-					pb.SrcLo[i] = sb.LocalLo[i] + olo[i] - aLo[i]
-					pb.SrcHi[i] = sb.LocalLo[i] + ohi[i] - aLo[i]
-					pb.DstLo[i] = db.LocalLo[i] + olo[i] - bLo[i]
-					pb.DstHi[i] = db.LocalLo[i] + ohi[i] - bLo[i]
-				}
-				sched.Blocks = append(sched.Blocks, pb)
-			}
-		}
-		return sched, nil
+	case src.Regular() && dst.Regular():
+		sched.Blocks = pairBlocks(dst, src, cutDims(dst, src, dDims, sDims))
+	default:
+		sched.Sets = pairSets(dst, src, cutDims(dst, src, dDims, sDims))
 	}
-	// At least one side is irregular: resolve every lattice point on
-	// both sides and bucket by (source slot, destination slot), pairs
-	// ordered by first appearance in row-major lattice order.
+	return sched, nil
+}
+
+// dimCut is one dimension of an owner-pair piece: the request-lattice
+// positions first + t*period (t < count) that one source and one
+// destination owner progression of the dimension have in common, seen
+// from both sides as the local progressions srcLo + t*srcStep and
+// dstLo + t*dstStep. span closes the piece as a strided local range the
+// way the rectangle owner split does, at the nearer of the two owners'
+// run ends: the Blocks form's hi - lo on both sides. srcSlot and dstSlot
+// are the two owner cells' terms of their grid slots, which sum over the
+// dimensions to the slots of the pair.
+type dimCut struct {
+	srcSlot, dstSlot int
+	first, count     int
+	srcLo, srcStep   int
+	dstLo, dstStep   int
+	span             int
+}
+
+// cutDims intersects, dimension by dimension, every source progression
+// (sDims, of array src) with every destination progression (dDims, of
+// dst), keeping each dimension's non-empty intersections in (source,
+// destination) order.
+func cutDims(dst, src *Meta, dDims, sDims [][]dimShare) [][]dimCut {
+	sGrid := grid.Strides(src.GridDims, src.GridIndexing)
+	dGrid := grid.Strides(dst.GridDims, dst.GridIndexing)
+	cuts := make([][]dimCut, len(sDims))
+	for i := range cuts {
+		cuts[i] = cutDim(sDims[i], dDims[i], sGrid[i], dGrid[i])
+	}
+	return cuts
+}
+
+// cutDim is cutDims for one dimension, whose cells are sGrid and dGrid
+// slots apart on the two grids.
+func cutDim(src, dst []dimShare, sGrid, dGrid int) []dimCut {
+	out := make([]dimCut, 0, len(src)+len(dst))
+	for _, s := range src {
+		for _, d := range dst {
+			first, period, k := intersectProgressions(s.posLo, s.posStep, s.count, d.posLo, d.posStep, d.count)
+			if k == 0 {
+				continue
+			}
+			c := dimCut{
+				srcSlot: s.cell * sGrid, dstSlot: d.cell * dGrid, first: first, count: k,
+				srcLo: s.lo + (first-s.posLo)/s.posStep*s.step, srcStep: period / s.posStep * s.step,
+				dstLo: d.lo + (first-d.posLo)/d.posStep*d.step, dstStep: period / d.posStep * d.step,
+			}
+			c.span = min(s.lim-c.srcLo, d.lim-c.dstLo)
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// intersectProgressions returns the common points of the arithmetic
+// progressions {a + t*pa : 0 <= t < na} and {b + u*pb : 0 <= u < nb}
+// (pa, pb >= 1) as the progression {first + v*period : 0 <= v < count},
+// period = lcm(pa, pb); count is 0 when they share no point. A common
+// point exists iff a ≡ b modulo gcd(pa, pb), and the Chinese remainder
+// theorem gives the first one at or after max(a, b).
+func intersectProgressions(a, pa, na, b, pb, nb int) (first, period, count int) {
+	g := gcd(pa, pb)
+	period = pa / g * pb
+	diff := b - a
+	if na <= 0 || nb <= 0 || diff%g != 0 {
+		return 0, period, 0
+	}
+	// a + pa*t ≡ b (mod pb)  <=>  (pa/g)*t ≡ diff/g (mod pb/g).
+	m := pb / g
+	t := floorMod(floorMod(diff/g, m)*modInverse(pa/g, m), m)
+	first = a + pa*t // ≡ a (mod pa), ≡ b (mod pb), within [a, a+period)
+	if lo := max(a, b); first < lo {
+		first += (lo - first + period - 1) / period * period
+	}
+	last := min(a+(na-1)*pa, b+(nb-1)*pb)
+	if first > last {
+		return first, period, 0
+	}
+	return first, period, (last-first)/period + 1
+}
+
+// modInverse returns the inverse of x modulo m (x and m coprime, m >= 1)
+// in [0, m), by the extended Euclidean algorithm.
+func modInverse(x, m int) int {
+	r0, r1 := floorMod(x, m), m
+	s0, s1 := 1, 0
+	for r1 != 0 {
+		q := r0 / r1
+		r0, r1 = r1, r0-q*r1
+		s0, s1 = s1, s0-q*s1
+	}
+	return floorMod(s0, m)
+}
+
+// floorMod returns x mod m in [0, m) for m >= 1.
+func floorMod(x, m int) int {
+	if x %= m; x < 0 {
+		x += m
+	}
+	return x
+}
+
+// nextIndex advances the row-major odometer idx over the box [lo, hi)
+// (last dimension fastest) and reports false once it wraps around.
+func nextIndex(idx, lo, hi []int) bool {
+	for i := len(idx) - 1; i >= 0; i-- {
+		if idx[i]++; idx[i] < hi[i] {
+			return true
+		}
+		idx[i] = lo[i]
+	}
+	return false
+}
+
+// pieceSlots returns the source and destination grid slots of the owner
+// pair whose piece takes cut idx[i] in dimension i.
+func pieceSlots(cuts [][]dimCut, idx []int) (sSlot, dSlot int) {
+	for i := range cuts {
+		sSlot += cuts[i][idx[i]].srcSlot
+		dSlot += cuts[i][idx[i]].dstSlot
+	}
+	return sSlot, dSlot
+}
+
+// pairBlocks assembles the Blocks form of a regular×regular schedule.
+// Every combination of one cut per dimension is an owner-pair piece.
+// Each dimension's cuts arrive grouped by source cell, so walking the
+// groups as an outer row-major odometer and the cuts within the current
+// groups as an inner one emits the pieces source owner by source owner,
+// each with its destination owners in row-major order.
+func pairBlocks(dst, src *Meta, cuts [][]dimCut) []PairBlock {
+	n := len(cuts)
+	total := 1
+	for _, c := range cuts {
+		total *= len(c)
+	}
+	blocks := make([]PairBlock, 0, total)
+	bounds := make([]int, 4*n*total)
+	scratch := make([]int, 3*n)
+	gLo, gHi, idx := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	groupEnd := func(c []dimCut, from int) int {
+		to := from + 1
+		for to < len(c) && c[to].srcSlot == c[from].srcSlot {
+			to++
+		}
+		return to
+	}
+	for i := range cuts {
+		gHi[i] = groupEnd(cuts[i], 0)
+	}
+	for {
+		copy(idx, gLo)
+		for {
+			sSlot, dSlot := pieceSlots(cuts, idx)
+			b := bounds[4*n*len(blocks):]
+			pb := PairBlock{
+				SrcProc: src.Procs[sSlot], DstProc: dst.Procs[dSlot],
+				SrcSlot: sSlot, DstSlot: dSlot,
+				SrcLo: b[:n:n], SrcHi: b[n : 2*n : 2*n],
+				DstLo: b[2*n : 3*n : 3*n], DstHi: b[3*n : 4*n : 4*n],
+			}
+			for i := range cuts {
+				c := &cuts[i][idx[i]]
+				pb.SrcLo[i], pb.SrcHi[i] = c.srcLo, c.srcLo+c.span
+				pb.DstLo[i], pb.DstHi[i] = c.dstLo, c.dstLo+c.span
+			}
+			blocks = append(blocks, pb)
+			if !nextIndex(idx, gLo, gHi) {
+				break
+			}
+		}
+		i := n - 1
+		for ; i >= 0; i-- {
+			if gLo[i] = gHi[i]; gLo[i] < len(cuts[i]) {
+				gHi[i] = groupEnd(cuts[i], gLo[i])
+				break
+			}
+			gLo[i], gHi[i] = 0, groupEnd(cuts[i], 0)
+		}
+		if i < 0 {
+			return blocks
+		}
+	}
+}
+
+// pairSets assembles the Sets form of a schedule with an irregular side.
+// Every combination of one cut per dimension is an owner-pair piece, and
+// a piece's first lattice point in row-major order is its per-dimension
+// first positions; sorting each dimension's cuts by first position and
+// walking the combinations as a row-major odometer therefore emits the
+// pairs in order of first appearance. Each piece's two local lattices
+// expand straight into slices of two presized offset buffers.
+func pairSets(dst, src *Meta, cuts [][]dimCut) []PairSet {
+	n := len(cuts)
+	total, points := 1, 1
+	scratch := make([]int, 7*n)
+	idx, zero, cnt := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+	lo, st, k, pos := scratch[3*n:4*n], scratch[4*n:5*n], scratch[5*n:6*n], scratch[6*n:]
+	for i, c := range cuts {
+		slices.SortFunc(c, func(x, y dimCut) int { return x.first - y.first })
+		total *= len(c)
+		cnt[i] = len(c)
+		along := 0
+		for j := range c {
+			along += c[j].count
+		}
+		points *= along
+	}
+	sets := make([]PairSet, 0, total)
+	srcOffs := make([]int, points)
+	dstOffs := make([]int, points)
+	sStr := grid.Strides(src.LocalDimsPlus, src.Indexing)
+	dStr := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
+	used := 0
+	for {
+		sSlot, dSlot := pieceSlots(cuts, idx)
+		size := 1
+		for i := range cuts {
+			c := &cuts[i][idx[i]]
+			lo[i], st[i], k[i] = c.srcLo, c.srcStep, c.count
+			size *= c.count
+		}
+		ps := PairSet{
+			SrcProc: src.Procs[sSlot], DstProc: dst.Procs[dSlot],
+			SrcSlot: sSlot, DstSlot: dSlot,
+			SrcOffs: srcOffs[used : used+size : used+size], DstOffs: dstOffs[used : used+size : used+size],
+		}
+		used += size
+		progressionOffsets(ps.SrcOffs, src.Borders, sStr, lo, st, k, pos)
+		for i := range cuts {
+			c := &cuts[i][idx[i]]
+			lo[i], st[i] = c.dstLo, c.dstStep
+		}
+		progressionOffsets(ps.DstOffs, dst.Borders, dStr, lo, st, k, pos)
+		sets = append(sets, ps)
+		if !nextIndex(idx, zero, cnt) {
+			return sets
+		}
+	}
+}
+
+// progressionOffsets writes to out, in row-major order, the
+// border-displaced storage offsets of the local lattice whose dimension
+// i is the progression lo[i] + t*step[i] (t < count[i]), for a section
+// with the given borders and storage strides. pos is n ints of scratch.
+func progressionOffsets(out, borders, strides, lo, step, count, pos []int) {
+	off := 0
+	for i := range lo {
+		off += (lo[i] + borders[2*i]) * strides[i]
+		pos[i] = 0
+	}
+	if len(lo) == 0 {
+		out[0] = off
+		return
+	}
+	// The innermost dimension is written as one run per row; the outer
+	// dimensions advance as an odometer.
+	last := len(lo) - 1
+	run, inner := count[last], step[last]*strides[last]
+	for k := 0; k < len(out); k += run {
+		o := off
+		row := out[k : k+run]
+		for t := range row {
+			row[t] = o
+			o += inner
+		}
+		for i := last - 1; i >= 0; i-- {
+			pos[i]++
+			off += step[i] * strides[i]
+			if pos[i] < count[i] {
+				break
+			}
+			off -= count[i] * step[i] * strides[i]
+			pos[i] = 0
+		}
+	}
+}
+
+// pointSets is the per-point schedule behind TransferSchedule's
+// block-cyclic fallback: it resolves every lattice point on both sides
+// and buckets the points by (source slot, destination slot), pairs
+// ordered by first appearance in row-major lattice order.
+func pointSets(dst, src *Meta, dstLo, srcLo, dims, step []int) ([]PairSet, error) {
+	n := len(dims)
 	srcStrides := grid.Strides(src.LocalDimsPlus, src.Indexing)
 	dstStrides := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
 	srcIdx := make([]int, n)
 	dstIdx := make([]int, n)
 	type pairKey struct{ s, d int }
-	byPair := make(map[pairKey]int) // (srcSlot, dstSlot) -> index into Sets
+	byPair := make(map[pairKey]int) // (srcSlot, dstSlot) -> index into sets
+	var sets []PairSet
 	visit := func(off []int, _ int) error {
 		for i := range off {
 			srcIdx[i] = srcLo[i] + off[i]
@@ -193,19 +438,20 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 		k := pairKey{sSlot, dSlot}
 		pi, seen := byPair[k]
 		if !seen {
-			pi = len(sched.Sets)
+			pi = len(sets)
 			byPair[k] = pi
-			sched.Sets = append(sched.Sets, PairSet{
+			sets = append(sets, PairSet{
 				SrcProc: src.Procs[sSlot], DstProc: dst.Procs[dSlot],
 				SrcSlot: sSlot, DstSlot: dSlot,
 			})
 		}
-		ps := &sched.Sets[pi]
+		ps := &sets[pi]
 		ps.SrcOffs = append(ps.SrcOffs, sOff)
 		ps.DstOffs = append(ps.DstOffs, dOff)
 		return nil
 	}
 	zero := make([]int, n)
+	var err error
 	if step == nil {
 		err = grid.ForEachRect(zero, dims, visit)
 	} else {
@@ -214,7 +460,7 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	if err != nil {
 		return nil, err
 	}
-	return sched, nil
+	return sets, nil
 }
 
 // CopyRect copies the strided interior rectangle (srcLo, srcHi, step) —
@@ -410,13 +656,45 @@ type StridedShare struct {
 	PosLo, PosStep []int // placement of the piece on the request lattice
 }
 
-// dimShare is one dimension's owner progression inside StridedShares:
-// the cell, its local strided run, and the run's placement on the
-// request lattice along that dimension.
+// dimShare is one dimension's owner progression inside StridedShares
+// and TransferSchedule: the cell, its local strided run of count points,
+// and the run's placement on the request lattice along that dimension.
+// lim is the exclusive local end of the owner's stretch of the request
+// range (the cell end or the request end, whichever is nearer) — the hi
+// a rectangle owner split reports.
 type dimShare struct {
 	cell           int
 	lo, hi, step   int
+	count          int
 	posLo, posStep int
+	lim            int
+}
+
+// dimShareLists splits the lattice of the validated strided rectangle
+// (lo, hi, step) — dense when step is nil — into each dimension's owner
+// progressions, each list in cell order. ok is false when a
+// block-cyclic dimension of width > 1 spans several cells: its holdings
+// are not single progressions.
+func (m *Meta) dimShareLists(lo, hi, step []int) (dims [][]dimShare, ok bool) {
+	n := m.NDims()
+	for i := 0; i < n; i++ {
+		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock && m.Dists[i].B > 1 {
+			return nil, false
+		}
+	}
+	dims = make([][]dimShare, n)
+	for i := 0; i < n; i++ {
+		st := 1
+		if step != nil {
+			st = step[i]
+		}
+		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock {
+			dims[i] = cyclicDimShares(lo[i], hi[i], st, m.GridDims[i])
+		} else {
+			dims[i] = blockDimShares(lo[i], hi[i], st, m.LocalDims[i], m.Dims[i])
+		}
+	}
+	return dims, true
 }
 
 // StridedShares splits the lattice of the strided rectangle
@@ -439,30 +717,18 @@ func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool
 	if err != nil {
 		return nil, false, err
 	}
-	n := m.NDims()
-	for i := 0; i < n; i++ {
-		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock && m.Dists[i].B > 1 {
-			return nil, false, nil // block-cyclic holdings are not single progressions
-		}
+	dims, ok := m.dimShareLists(lo, hi, step)
+	if !ok {
+		return nil, false, nil
 	}
-	dims := make([][]dimShare, n)
+	n := m.NDims()
 	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		st := 1
-		if step != nil {
-			st = step[i]
-		}
-		cnt := (hi[i] - lo[i] + st - 1) / st
-		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock {
-			dims[i] = cyclicDimShares(lo[i], st, cnt, m.GridDims[i])
-		} else {
-			dims[i] = blockDimShares(lo[i], st, cnt, m.LocalDims[i], m.Dims[i])
-		}
+	for i := range dims {
 		counts[i] = len(dims[i])
 	}
 	shares = make([]StridedShare, 0, grid.Size(counts))
-	idx := make([]int, n)
-	cells := make([]int, n)
+	scratch := make([]int, 3*n)
+	idx, zero, cells := scratch[:n], scratch[n:2*n], scratch[2*n:]
 	for {
 		sh := StridedShare{
 			Lo: make([]int, n), Hi: make([]int, n), Step: make([]int, n),
@@ -481,27 +747,20 @@ func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool
 		sh.Proc = m.Procs[slot]
 		sh.Slot = slot
 		shares = append(shares, sh)
-		i := n - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < counts[i] {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
+		if !nextIndex(idx, zero, counts) {
 			return shares, true, nil
 		}
 	}
 }
 
 // cyclicDimShares computes the per-cell progressions of the lattice
-// {lo + j*st : 0 <= j < cnt} along one width-1 cyclic dimension of p
+// {lo + j*st : lo + j*st < hi} along one width-1 cyclic dimension of p
 // cells. The lattice visits cells with period p/gcd(st, p); a cell
 // holding any point holds every period-th lattice point from its first,
 // and consecutive held points are st/gcd(st, p) apart in local storage
 // (their global distance is the multiple st*p/gcd of p).
-func cyclicDimShares(lo, st, cnt, p int) []dimShare {
+func cyclicDimShares(lo, hi, st, p int) []dimShare {
+	cnt := (hi - lo + st - 1) / st
 	d := gcd(st, p)
 	period := p / d
 	out := make([]dimShare, 0, period)
@@ -519,19 +778,21 @@ func cyclicDimShares(lo, st, cnt, p int) []dimShare {
 		k := (cnt-1-j0)/period + 1
 		lLo := (lo + j0*st) / p
 		lStep := st / d
+		lHi := lLo + (k-1)*lStep + 1
 		out = append(out, dimShare{
-			cell: c, lo: lLo, hi: lLo + (k-1)*lStep + 1, step: lStep,
-			posLo: j0, posStep: period,
+			cell: c, lo: lLo, hi: lHi, step: lStep, count: k,
+			posLo: j0, posStep: period, lim: lHi,
 		})
 	}
 	return out
 }
 
 // blockDimShares computes the per-cell runs of the lattice
-// {lo + j*st : 0 <= j < cnt} along one block dimension of cell width b
+// {lo + j*st : lo + j*st < hi} along one block dimension of cell width b
 // and extent n (the trailing cell possibly truncated): each touched
 // cell holds a contiguous stretch of consecutive lattice points.
-func blockDimShares(lo, st, cnt, b, n int) []dimShare {
+func blockDimShares(lo, hi, st, b, n int) []dimShare {
+	cnt := (hi - lo + st - 1) / st
 	last := lo + (cnt-1)*st
 	out := make([]dimShare, 0, last/b-lo/b+1)
 	for c := lo / b; c <= last/b; c++ {
@@ -553,8 +814,8 @@ func blockDimShares(lo, st, cnt, b, n int) []dimShare {
 		lLo := lo + jFirst*st - cellLo
 		k := jLast - jFirst + 1
 		out = append(out, dimShare{
-			cell: c, lo: lLo, hi: lLo + (k-1)*st + 1, step: st,
-			posLo: jFirst, posStep: 1,
+			cell: c, lo: lLo, hi: lLo + (k-1)*st + 1, step: st, count: k,
+			posLo: jFirst, posStep: 1, lim: min(cellHi, hi) - cellLo,
 		})
 	}
 	return out

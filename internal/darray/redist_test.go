@@ -1,7 +1,9 @@
 package darray
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -385,4 +387,289 @@ func randomDistRect(rng *rand.Rand, dims []int) (lo, hi, step []int) {
 		step[i] = 1 + rng.Intn(3)
 	}
 	return lo, hi, step
+}
+
+// referenceTransferSchedule is the transfer planner TransferSchedule
+// replaced, kept as the differential reference: regular×regular pairs
+// intersect the two rectangle owner splits block by block, and every
+// other mix resolves each lattice point on both sides (ResolveIndex) and
+// buckets the points by owner pair.
+func referenceTransferSchedule(dst, src *Meta, dstLo, srcLo, dims, step []int) (*Schedule, error) {
+	n := dst.NDims()
+	srcHi := make([]int, n)
+	dstHi := make([]int, n)
+	for i := 0; i < n; i++ {
+		srcHi[i] = srcLo[i] + dims[i]
+		dstHi[i] = dstLo[i] + dims[i]
+	}
+	sched := &Schedule{}
+	if step != nil {
+		sched.Step = append([]int(nil), step...)
+	}
+	var err error
+	if src.Regular() && dst.Regular() {
+		var sBlocks, dBlocks []OwnerBlock
+		if step == nil {
+			sBlocks, err = src.OwnerBlocks(srcLo, srcHi)
+		} else {
+			sBlocks, err = src.OwnerBlocksStrided(srcLo, srcHi, step)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if step == nil {
+			dBlocks, err = dst.OwnerBlocks(dstLo, dstHi)
+		} else {
+			dBlocks, err = dst.OwnerBlocksStrided(dstLo, dstHi, step)
+		}
+		if err != nil {
+			return nil, err
+		}
+		aLo := make([]int, n)
+		aHi := make([]int, n)
+		bLo := make([]int, n)
+		bHi := make([]int, n)
+		for _, sb := range sBlocks {
+			for i := 0; i < n; i++ {
+				aLo[i] = sb.GlobalLo[i] - srcLo[i]
+				aHi[i] = sb.GlobalHi[i] - srcLo[i]
+			}
+			for _, db := range dBlocks {
+				for i := 0; i < n; i++ {
+					bLo[i] = db.GlobalLo[i] - dstLo[i]
+					bHi[i] = db.GlobalHi[i] - dstLo[i]
+				}
+				var olo, ohi []int
+				var ok bool
+				if step == nil {
+					olo, ohi, ok = grid.IntersectRect(aLo, aHi, bLo, bHi)
+				} else {
+					olo, ohi, ok = grid.IntersectStridedRect(aLo, aHi, step, bLo, bHi)
+				}
+				if !ok {
+					continue
+				}
+				pb := PairBlock{
+					SrcProc: sb.Proc, DstProc: db.Proc,
+					SrcSlot: sb.Slot, DstSlot: db.Slot,
+					SrcLo: make([]int, n), SrcHi: make([]int, n),
+					DstLo: make([]int, n), DstHi: make([]int, n),
+				}
+				for i := 0; i < n; i++ {
+					pb.SrcLo[i] = sb.LocalLo[i] + olo[i] - aLo[i]
+					pb.SrcHi[i] = sb.LocalLo[i] + ohi[i] - aLo[i]
+					pb.DstLo[i] = db.LocalLo[i] + olo[i] - bLo[i]
+					pb.DstHi[i] = db.LocalLo[i] + ohi[i] - bLo[i]
+				}
+				sched.Blocks = append(sched.Blocks, pb)
+			}
+		}
+		return sched, nil
+	}
+	srcStrides := grid.Strides(src.LocalDimsPlus, src.Indexing)
+	dstStrides := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
+	srcIdx := make([]int, n)
+	dstIdx := make([]int, n)
+	type pairKey struct{ s, d int }
+	byPair := make(map[pairKey]int)
+	visit := func(off []int, _ int) error {
+		for i := range off {
+			srcIdx[i] = srcLo[i] + off[i]
+			dstIdx[i] = dstLo[i] + off[i]
+		}
+		sSlot, sOff, ok := src.ResolveIndex(srcIdx, srcStrides)
+		if !ok {
+			return fmt.Errorf("unresolvable source index %v", srcIdx)
+		}
+		dSlot, dOff, ok := dst.ResolveIndex(dstIdx, dstStrides)
+		if !ok {
+			return fmt.Errorf("unresolvable destination index %v", dstIdx)
+		}
+		k := pairKey{sSlot, dSlot}
+		pi, seen := byPair[k]
+		if !seen {
+			pi = len(sched.Sets)
+			byPair[k] = pi
+			sched.Sets = append(sched.Sets, PairSet{
+				SrcProc: src.Procs[sSlot], DstProc: dst.Procs[dSlot],
+				SrcSlot: sSlot, DstSlot: dSlot,
+			})
+		}
+		ps := &sched.Sets[pi]
+		ps.SrcOffs = append(ps.SrcOffs, sOff)
+		ps.DstOffs = append(ps.DstOffs, dOff)
+		return nil
+	}
+	zero := make([]int, n)
+	if step == nil {
+		err = grid.ForEachRect(zero, dims, visit)
+	} else {
+		err = grid.ForEachStridedRect(zero, dims, step, visit)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sched, nil
+}
+
+// diffLayouts widens redistLayouts for the differential test: uneven
+// trailing blocks with borders, column-major storage and grid order,
+// cyclic in every dimension, and block-cyclic dimensions both over
+// several cells (the per-point fallback) and over one.
+func diffLayouts(t *testing.T, dims []int) map[string]*Meta {
+	t.Helper()
+	out := redistLayouts(t, dims)
+	switch len(dims) {
+	case 1:
+		out["block3-bordered"] = metaForDist(t, dims, []int{3}, []grid.Decomp{grid.BlockDefault()}, []int{2, 1}, grid.RowMajor)
+		out["cyclic3-colmajor"] = metaForDist(t, dims, []int{3}, []grid.Decomp{grid.CyclicDefault()}, []int{1, 0}, grid.ColMajor)
+		out["blockcyclic-onecell"] = metaForDist(t, dims, []int{1}, []grid.Decomp{grid.BlockCyclicOf(4)}, []int{0, 1}, grid.RowMajor)
+	case 2:
+		out["block-block-colmajor"] = metaForDist(t, dims, []int{2, 3},
+			[]grid.Decomp{grid.BlockOf(2), grid.BlockOf(3)}, []int{1, 2, 0, 1}, grid.ColMajor)
+		out["cyclic-cyclic"] = metaForDist(t, dims, []int{2, 3},
+			[]grid.Decomp{grid.CyclicOf(2), grid.CyclicOf(3)}, []int{0, 1, 1, 0}, grid.RowMajor)
+		out["block-cyclic-colmajor"] = metaForDist(t, dims, []int{3, 2},
+			[]grid.Decomp{grid.BlockOf(3), grid.CyclicOf(2)}, []int{0, 0, 2, 0}, grid.ColMajor)
+	}
+	return out
+}
+
+// TestTransferScheduleMatchesReference is the differential pin of the
+// closed-form planner: for every ordered pair of layouts, over random
+// dense and strided lattices at independent origins in arrays of
+// different extents, TransferSchedule must return exactly the schedule
+// the reference planner does — same form, same pair order, same bounds,
+// same offsets in the same order.
+func TestTransferScheduleMatchesReference(t *testing.T) {
+	for _, shapes := range [][2][]int{{{29}, {23}}, {{11, 10}, {9, 13}}} {
+		srcLayouts := diffLayouts(t, shapes[0])
+		dstLayouts := diffLayouts(t, shapes[1])
+		n := len(shapes[0])
+		rng := rand.New(rand.NewSource(int64(100 + n)))
+		for sname, src := range srcLayouts {
+			for dname, dst := range dstLayouts {
+				for trial := 0; trial < 12; trial++ {
+					srcLo := make([]int, n)
+					dstLo := make([]int, n)
+					ext := make([]int, n)
+					step := make([]int, n)
+					for i := 0; i < n; i++ {
+						room := min(src.Dims[i], dst.Dims[i])
+						step[i] = 1
+						if trial%2 == 1 {
+							step[i] = 1 + rng.Intn(4)
+						}
+						ext[i] = 1 + rng.Intn(room)
+						if trial == 0 {
+							ext[i] = room
+						}
+						srcLo[i] = rng.Intn(src.Dims[i] - ext[i] + 1)
+						dstLo[i] = rng.Intn(dst.Dims[i] - ext[i] + 1)
+					}
+					var stepArg []int
+					if trial%2 == 1 {
+						stepArg = step
+					}
+					got, err := dst.TransferSchedule(src, dstLo, srcLo, ext, stepArg)
+					if err != nil {
+						t.Fatalf("%s->%s: TransferSchedule(%v,%v,%v,%v): %v", sname, dname, dstLo, srcLo, ext, stepArg, err)
+					}
+					want, err := referenceTransferSchedule(dst, src, dstLo, srcLo, ext, stepArg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s->%s (dstLo %v srcLo %v ext %v step %v):\n got  %+v\n want %+v",
+							sname, dname, dstLo, srcLo, ext, stepArg, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bandMetas are the access benchmark's redistribution operands: a
+// 128x128 (block, block) array on a 2x2 grid and a (cyclic, *) array on
+// 4 processors.
+func bandMetas(tb testing.TB) (src, dst *Meta) {
+	src = metaForDist(tb, []int{128, 128}, []int{2, 2},
+		[]grid.Decomp{grid.BlockDefault(), grid.BlockDefault()}, []int{0, 0, 0, 0}, grid.RowMajor)
+	dst = metaForDist(tb, []int{128, 128}, []int{4, 1},
+		[]grid.Decomp{grid.CyclicDefault(), grid.NoDecomp()}, []int{0, 0, 0, 0}, grid.RowMajor)
+	return src, dst
+}
+
+// bandLo places the 16-row band across the source's row-block boundary,
+// the widest schedule the band can produce (16 owner pairs).
+var bandLo, bandDims = []int{56, 0}, []int{16, 128}
+
+// TestTransferScheduleAllocs pins the plan of the 16x128 block→cyclic
+// band to the closed-form path's allocation profile: a regression to
+// per-point planning (171 allocations) fails here.
+func TestTransferScheduleAllocs(t *testing.T) {
+	src, dst := bandMetas(t)
+	var sched *Schedule
+	allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if sched, err = dst.TransferSchedule(src, bandLo, bandLo, bandDims, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sched.NPairs() != 16 {
+		t.Fatalf("band schedule has %d pairs, want 16", sched.NPairs())
+	}
+	if allocs > 70 {
+		t.Fatalf("band TransferSchedule: %.0f allocs/op, want <= 70", allocs)
+	}
+}
+
+// BenchmarkTransferSchedule plans the 16x128 block→cyclic band on 4
+// processors.
+func BenchmarkTransferSchedule(b *testing.B) {
+	src, dst := bandMetas(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := dst.TransferSchedule(src, bandLo, bandLo, bandDims, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzIntersectProgressions checks the closed-form progression
+// intersection against brute-force enumeration: emptiness, the first
+// common point, the period (lcm of the two) and the count.
+func FuzzIntersectProgressions(f *testing.F) {
+	f.Add(uint8(0), uint8(1), uint8(10), uint8(3), uint8(4), uint8(5))
+	f.Add(uint8(2), uint8(6), uint8(7), uint8(5), uint8(4), uint8(9))
+	f.Add(uint8(1), uint8(2), uint8(5), uint8(0), uint8(2), uint8(5))
+	f.Add(uint8(9), uint8(3), uint8(0), uint8(0), uint8(1), uint8(30))
+	f.Fuzz(func(t *testing.T, a, pa, na, b, pb, nb uint8) {
+		ia, ipa, ina := int(a), 1+int(pa%16), int(na%40)
+		ib, ipb, inb := int(b), 1+int(pb%16), int(nb%40)
+		first, period, count := intersectProgressions(ia, ipa, ina, ib, ipb, inb)
+		if want := ipa / gcd(ipa, ipb) * ipb; period != want {
+			t.Fatalf("period %d, want lcm(%d,%d) = %d", period, ipa, ipb, want)
+		}
+		inB := make(map[int]bool, inb)
+		for u := 0; u < inb; u++ {
+			inB[ib+u*ipb] = true
+		}
+		var common []int
+		for s := 0; s < ina; s++ {
+			if x := ia + s*ipa; inB[x] {
+				common = append(common, x)
+			}
+		}
+		if count != len(common) {
+			t.Fatalf("(%d+t*%d, t<%d) ∩ (%d+u*%d, u<%d): count %d, brute force %d %v",
+				ia, ipa, ina, ib, ipb, inb, count, len(common), common)
+		}
+		for v, x := range common {
+			if got := first + v*period; got != x {
+				t.Fatalf("(%d+t*%d, t<%d) ∩ (%d+u*%d, u<%d): point %d is %d, brute force %d",
+					ia, ipa, ina, ib, ipb, inb, v, got, x)
+			}
+		}
+	})
 }

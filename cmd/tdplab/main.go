@@ -419,9 +419,9 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 		fmt.Printf("  %3d -> %-3d %10d %10d  %s\n",
 			e.srcProc, e.dstProc, e.elems, e.elems*elemBytes, transport)
 	}
-	// The direct plane's budget for a caller on processor 0: the
-	// coordinator request, one ship order per remote source owner, one
-	// ship per cross-processor pair (the pinned formula of
+	// The direct plane's budget for a caller on processor 0, whose
+	// coordinator runs in the caller: one ship order per remote source
+	// owner, one ship per cross-processor pair (the pinned formula of
 	// arraymgr.TestRedistributeMessageBudget).
 	remoteSrc, remoteDst := 0, 0
 	for o := range srcOwners {
@@ -434,20 +434,10 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 			remoteDst++
 		}
 	}
-	direct := 1 + remoteSrc + crossPairs
-	if len(srcOwners) == 1 && len(dstOwners) == 1 && crossPairs == 0 && srcOwners[0] && dstOwners[0] {
-		direct = 0 // wholly local on the caller: the zero-message fast path
-	}
-	// The bounce pays a read (coordinator + remote source owners) plus a
-	// write (coordinator + remote destination owners), each phase free
-	// only when wholly local to the caller.
-	bounce := 0
-	if remoteSrc > 0 || len(srcOwners) > 1 || !srcOwners[0] {
-		bounce += 1 + remoteSrc
-	}
-	if remoteDst > 0 || len(dstOwners) > 1 || !dstOwners[0] {
-		bounce += 1 + remoteDst
-	}
+	direct := remoteSrc + crossPairs
+	// The bounce pays a read (one request per remote source owner) plus
+	// a write (one per remote destination owner).
+	bounce := remoteSrc + remoteDst
 	fmt.Printf("  total: %d elements, %d bytes, %d source owner(s), %d destination owner(s)\n",
 		totalElems, totalElems*elemBytes, len(srcOwners), len(dstOwners))
 	fmt.Printf("  messages (caller on processor 0): direct %d, gather-then-scatter bounce %d\n", direct, bounce)

@@ -145,8 +145,9 @@ func TestHaloMessageBudget(t *testing.T) {
 		field.Param()); err != nil {
 		t.Fatal(err)
 	}
-	// p find_local requests + 2*(p-1) halo rows + p-1 combines.
-	want := uint64(p + 2*(p-1) + (p - 1))
+	// 2*(p-1) halo rows + p-1 combines; find_local runs in the caller
+	// on each processor and sends nothing.
+	want := uint64(2*(p-1) + (p - 1))
 	if got := router.Sent() - before; got != want {
 		t.Fatalf("diffuse call sent %d messages, want %d (one halo message per neighbour per step)", got, want)
 	}

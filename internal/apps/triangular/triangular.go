@@ -192,8 +192,9 @@ type PanelConfig struct {
 // P panel transfers actually sent; HandoffHops is the modeled
 // critical-path hop count of the same transfers — what an interconnect
 // charging per-hop latency (the E22/E26 20µs regime) makes the caller
-// wait for, with concurrent messages of one phase overlapped into a
-// single hop and request replies riding in-process channels for free.
+// wait for. Concurrent messages of one phase overlap into a single hop,
+// and the replies or acks answering them cross the interconnect as one
+// more (in process they ride channels, which the router does not count).
 type PanelResult struct {
 	N, P        int
 	HandoffMsgs uint64
@@ -257,21 +258,19 @@ func RunPanelHandoff(m *core.Machine, cfg PanelConfig) (*PanelResult, error) {
 				return nil, err
 			}
 			// Read: the wholly-local fast path is free; a remote panel
-			// costs the coordinator self-send plus the owner request
-			// (replies ride in-process channels, not the router).
+			// costs the owner request and its reply.
 			if !srcLocal {
 				hops += 2
 			}
-			// Write: coordinator self-send, then the per-owner writes
-			// overlap into one hop.
+			// Write: the per-owner writes overlap into one hop, their
+			// replies into another.
 			hops += 2
 		} else {
 			if err := w.RedistributeFrom(a, lo, hi); err != nil {
 				return nil, err
 			}
-			// Coordinator self-send, then (for a remote panel) the ship
-			// order to the source owner, then the overlapped
-			// owner-to-owner ships.
+			// For a remote panel the ship order to the source owner, then
+			// the overlapped owner-to-owner ships, then their acks.
 			hops += 2
 			if !srcLocal {
 				hops++

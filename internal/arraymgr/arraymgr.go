@@ -3,11 +3,12 @@
 //
 // The array manager consists of one array-manager server per virtual
 // processor. All requests by task-parallel programs to create or manipulate
-// distributed arrays are handled by the *local* array-manager server, which
-// communicates with the array-manager servers on other processors as needed
-// to fulfil the request (e.g. array creation touches every processor over
-// which the array is distributed; reading an element touches the processor
-// owning it). Requests travel over the machine's message router using
+// distributed arrays are handled on behalf of the *local* array-manager
+// server, whose coordinator runs on the calling goroutine and communicates
+// with the array-manager servers on other processors as needed to fulfil
+// the request (e.g. array creation touches every processor over which the
+// array is distributed; reading an element touches the processor owning
+// it). Requests travel over the machine's message router using
 // task-parallel-class tags, keeping array-manager traffic disjoint from
 // data-parallel program traffic per §3.4.1.
 //
@@ -246,8 +247,12 @@ type request struct {
 	lo    []int        // read/write block: rectangle bounds (global at the
 	hi    []int        // coordinator, interior-local at the owner)
 	step  []int        // strided block ops: per-dimension stride (>= 1)
-	vals  []float64    // write data; read: optional caller buffer
-	slot  int          // owner ops: the grid slot the payload addresses,
+	vals  []float64    // write data; read: the caller's result buffer
+	// pooled marks an owner write whose vals snapshot was drawn from the
+	// destination owner's reply-buffer pool; the owner returns it there
+	// once the write and its mirrors have landed (finishWrite).
+	pooled bool
+	slot   int // owner ops: the grid slot the payload addresses,
 	// set by every coordinator split site so a processor serving several
 	// slots after a promotion routes to the right storage (sectionFor)
 	which string // find_info selector; tree fan-out inner op
@@ -333,10 +338,12 @@ func (m *Manager) borderResolver() BorderResolver {
 	return m.resolver
 }
 
-// serve is one array-manager server loop: it receives requests addressed to
-// this processor and services each in its own goroutine (the PCN server
-// spawns a process per request, so concurrent requests never deadlock the
-// server).
+// serve is one array-manager server loop: it receives the owner requests
+// addressed to this processor and dispatches each one (see dispatch).
+// Coordinators never arrive here — they run on the goroutine of the
+// task-level caller (coordinate) — so every request this loop sees is an
+// owner's share of a transfer, a mirror, a metadata update, a control
+// fan-out node, a redistribution ship, or a wire completion.
 func (m *Manager) serve(proc int) {
 	router := m.machine.Router()
 	var dedup deduper
@@ -389,11 +396,11 @@ func (m *Manager) serve(proc int) {
 		}
 		if message.Tag.Kind == kindAMShip {
 			// One-way redistribution traffic: no reply channel, so it
-			// must not flow through handle's unconditional reply send.
+			// must not flow through dispatch's reply send.
 			go m.handleShip(proc, req)
 			continue
 		}
-		go m.handle(proc, req)
+		m.dispatch(proc, req)
 	}
 }
 
@@ -446,69 +453,75 @@ func (m *Manager) send(src, dst int, req *request) response {
 	return m.await(m.sendAsync(src, dst, req))
 }
 
-// handle dispatches one request at the server on proc. With tracing at
-// Ops level the manager behaves like the paper's am_debug build, emitting
-// one trace message per operation (§B.3).
-func (m *Manager) handle(proc int, req *request) {
+// dispatch runs one owner request at the server on proc. An op that can
+// never wait on another server runs right here on the serve loop, with
+// no goroutine of its own: the owner reads, mirror_write, update_meta,
+// and the writes of arrays without replicas. Two steps do wait on other
+// servers — a combining-tree node awaits its children, and a replicated
+// write awaits its buddies' mirror acknowledgements — and across OS
+// processes those replies arrive as messages through this very loop, so
+// awaiting them here would deadlock it; they continue on a goroutine
+// (for a replicated write, after the primary write has been applied
+// here). With tracing at Ops level the manager behaves like the paper's
+// am_debug build, emitting one trace message per operation (§B.3).
+func (m *Manager) dispatch(proc int, req *request) {
 	if trace.Enabled(trace.Ops) {
 		trace.Logf(trace.Ops, proc, "am: %s %v", req.op, req.id)
 	}
 	var resp response
 	switch req.op {
-	case "create_array":
-		resp = m.doCreate(proc, req)
-	case "create_local":
-		resp = m.doCreateLocal(proc, req)
-	case "free_array":
-		resp = m.doFree(proc, req)
-	case "free_local":
-		resp = m.doFreeLocal(proc, req)
-	case "read_vector":
-		resp = m.doReadVector(proc, req)
-	case "read_vector_local":
-		resp = m.doReadVectorLocal(proc, req)
-	case "write_vector":
-		resp = m.doWriteVector(proc, req)
-	case "write_vector_local":
-		resp = m.doWriteVectorLocal(proc, req)
-	case "read_block":
-		resp = m.doReadBlock(proc, req)
-	case "read_block_serial":
-		resp = m.doReadBlockSerial(proc, req)
 	case "read_block_local":
 		resp = m.doReadBlockLocal(proc, req)
-	case "write_block":
-		resp = m.doWriteBlock(proc, req)
-	case "write_block_local":
-		resp = m.doWriteBlockLocal(proc, req)
-	case "read_block_strided":
-		resp = m.doReadBlockStrided(proc, req)
 	case "read_block_strided_local":
 		resp = m.doReadBlockStridedLocal(proc, req)
-	case "write_block_strided":
-		resp = m.doWriteBlockStrided(proc, req)
-	case "write_block_strided_local":
-		resp = m.doWriteBlockStridedLocal(proc, req)
+	case "read_vector_local":
+		resp = m.doReadVectorLocal(proc, req)
+	case "write_block_local", "write_block_strided_local", "write_vector_local":
+		meta, st := m.applyWrite(proc, req)
+		if st == StatusOK && meta.Replicas > 0 {
+			go func() { m.respond(proc, req, response{status: m.finishWrite(proc, meta, req, st)}) }()
+			return
+		}
+		resp.status = m.finishWrite(proc, meta, req, st)
 	case "mirror_write":
-		resp = m.doMirrorWrite(proc, req)
-	case "redistribute":
-		resp = m.doRedistribute(proc, req)
-	case "find_local":
-		resp = m.doFindLocal(proc, req)
-	case "find_info":
-		resp = m.doFindInfo(proc, req)
-	case "verify_array":
-		resp = m.doVerify(proc, req)
-	case "copy_local":
-		resp = m.doCopyLocal(proc, req)
-	case "tree":
-		resp = m.doTree(proc, req)
+		_, resp.status = m.applyWrite(proc, req)
 	case "update_meta":
 		resp = m.doUpdateMeta(proc, req)
+	case "tree":
+		go func() { m.respond(proc, req, m.doTree(proc, req)) }()
+		return
 	default:
-		resp = response{status: StatusError}
+		resp.status = StatusError
 	}
 	m.respond(proc, req, resp)
+}
+
+// coordinator is one coordinator routine: it services a public entry
+// point's request on behalf of processor proc.
+type coordinator func(m *Manager, proc int, req *request) response
+
+// coordinate runs a coordinator on the calling goroutine, on behalf of
+// onProc: the task-level caller is its own coordinator, so a call costs
+// no message to reach onProc's server — only the owner requests it fans
+// out travel. It logs the operation like the owner dispatch does. Under
+// a call policy a killed onProc fails with StatusDown: a fail-stopped
+// processor coordinates nothing.
+func (m *Manager) coordinate(onProc int, req *request, do coordinator) response {
+	if trace.Enabled(trace.Ops) {
+		trace.Logf(trace.Ops, onProc, "am: %s %v", req.op, req.id)
+	}
+	if m.policy.Load() != nil && m.machine.Router().Down(onProc) {
+		return response{status: StatusDown}
+	}
+	return do(m, onProc, req)
+}
+
+// hosts reports whether a public entry point may run on behalf of
+// processor onProc: it must exist and live in this OS process, since
+// its coordinator runs here against onProc's server state and owner
+// replies are addressed to it.
+func (m *Manager) hosts(onProc int) bool {
+	return m.machine.Router().Local(onProc)
 }
 
 // --- coordinator operations ---
@@ -812,30 +825,20 @@ func (m *Manager) doFreeLocal(proc int, req *request) response {
 // global index tuples by owning processor (darray.Meta.OwnerIndices),
 // scatters one read_vector_local request to every remote owner before
 // waiting on any reply, services its own set while the remote owners work,
-// then gathers the replies and scatters the values into the result vector
-// by request position. A k-element gather across P owners costs one
-// request/reply pair per owner, never one per element. If the request
-// carries a caller-supplied buffer, values land straight in it.
+// then gathers the replies and scatters the values into the caller's
+// result vector (req.vals) by request position. A k-element gather
+// across P owners costs one request/reply pair per owner, never one per
+// element.
 func (m *Manager) doReadVector(proc int, req *request) response {
 	e, st := m.lookup(proc, req.id)
 	if st != StatusOK {
 		return response{status: st}
 	}
 	sets, err := e.meta.OwnerIndices(req.gidxs)
-	if err != nil {
+	if err != nil || len(req.vals) != len(req.gidxs) {
 		return response{status: StatusInvalid}
 	}
-	out := req.vals
-	if out != nil && len(out) != len(req.gidxs) {
-		return response{status: StatusInvalid}
-	}
-	if out == nil {
-		out = make([]float64, len(req.gidxs))
-	}
-	if st := m.readSets(proc, req.id, sets, out); st != StatusOK {
-		return response{status: st}
-	}
-	return response{status: StatusOK, vals: out}
+	return response{status: m.readSets(proc, req.id, sets, req.vals)}
 }
 
 // readSets drives the gather half of the offset-set transfer: one
@@ -930,28 +933,28 @@ func (m *Manager) doWriteVector(proc int, req *request) response {
 
 // writeSets drives the scatter half of the offset-set transfer: each
 // remote owner in sets receives one write_vector_local request carrying
-// its offsets and a fresh snapshot of its values (messages between address
-// spaces carry copies, never views), all posted before any reply is
-// awaited; the local set is written in place and the statuses gathered.
-// Offsets within a set preserve request order, so repeated positions keep
-// last-writer-wins semantics. Shared by the indexed coordinators and the
-// irregular rectangle coordinators.
+// its offsets and a snapshot of its values (see snapshot), all posted
+// before any reply is awaited; the local set is written in place and the
+// statuses gathered. Offsets within a set preserve request order, so
+// repeated positions keep last-writer-wins semantics. Shared by the
+// indexed coordinators and the irregular rectangle coordinators.
 func (m *Manager) writeSets(proc int, id darray.ID, sets []darray.OwnerIndexSet, vals []float64) Status {
-	// pack builds one owner's value vector in set order.
-	pack := func(s darray.OwnerIndexSet) []float64 {
-		out := make([]float64, len(s.Pos))
+	pool := m.poolSnapshots()
+	// pack builds one owner's request, its values in set order.
+	pack := func(s darray.OwnerIndexSet) request {
+		out, pooled := m.snapshot(pool, s.Proc, len(s.Pos))
 		for j, p := range s.Pos {
 			out[j] = vals[p]
 		}
-		return out
+		return request{op: "write_vector_local", id: id, offs: s.Offs, vals: out, pooled: pooled, slot: s.Slot}
 	}
 	replies := make([]*request, len(sets))
 	for i, s := range sets {
 		if s.Proc == proc {
 			continue
 		}
-		replies[i] = m.sendAsync(proc, s.Proc,
-			&request{op: "write_vector_local", id: id, offs: s.Offs, vals: pack(s), slot: s.Slot})
+		r := pack(s)
+		replies[i] = m.sendAsync(proc, s.Proc, &r)
 	}
 	status := StatusOK
 	// Service every local set: after a failover promotion one processor
@@ -960,8 +963,9 @@ func (m *Manager) writeSets(proc int, id darray.ID, sets []darray.OwnerIndexSet,
 		if replies[i] != nil {
 			continue
 		}
-		if r := m.doWriteVectorLocal(proc, &request{id: id, offs: s.Offs, vals: pack(s), slot: s.Slot}); r.status != StatusOK {
-			status = r.status
+		r := pack(s)
+		if st := m.doWriteLocal(proc, &r); st != StatusOK {
+			status = st
 		}
 	}
 	for i := range sets {
@@ -984,7 +988,7 @@ func (m *Manager) writeSets(proc int, id darray.ID, sets []darray.OwnerIndexSet,
 // (StridedShares, O(ndims) payload per owner); block-cyclic shares fall
 // back to materialized offset sets served by the indexed-gather owner
 // routine. Either way it is one request per owner, with values landing
-// at their packed lattice positions in the dense result buffer.
+// at their packed lattice positions in the caller's dense result buffer.
 func (m *Manager) readLattice(proc int, meta *darray.Meta, req *request, step []int) response {
 	shares, descriptors, err := meta.StridedShares(req.lo, req.hi, step)
 	if err != nil {
@@ -996,27 +1000,17 @@ func (m *Manager) readLattice(proc int, meta *darray.Meta, req *request, step []
 		size = grid.StridedRectSize(req.lo, req.hi, step)
 		sdims = grid.StridedRectDims(req.lo, req.hi, step)
 	}
-	out := req.vals
-	if out != nil && len(out) != size {
+	if len(req.vals) != size {
 		return response{status: StatusInvalid}
 	}
-	if out == nil {
-		out = make([]float64, size)
-	}
-	var st Status
 	if descriptors {
-		st = m.readShares(proc, req.id, shares, sdims, out)
-	} else {
-		sets, err := meta.OwnerLattice(req.lo, req.hi, step)
-		if err != nil {
-			return response{status: StatusInvalid}
-		}
-		st = m.readSets(proc, req.id, sets, out)
+		return response{status: m.readShares(proc, req.id, shares, sdims, req.vals)}
 	}
-	if st != StatusOK {
-		return response{status: st}
+	sets, err := meta.OwnerLattice(req.lo, req.hi, step)
+	if err != nil {
+		return response{status: StatusInvalid}
 	}
-	return response{status: StatusOK, vals: out}
+	return response{status: m.readSets(proc, req.id, sets, req.vals)}
 }
 
 // writeLattice is readLattice's write-side companion, with the same
@@ -1045,27 +1039,85 @@ func (m *Manager) writeLattice(proc int, meta *darray.Meta, req *request, step [
 	return response{status: m.writeSets(proc, req.id, sets, req.vals)}
 }
 
-// doWriteVectorLocal services one owner's share of an indexed scatter,
-// applying the values in request order (last writer wins for repeats).
-func (m *Manager) doWriteVectorLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
+// applyWrite lands one owner write — a write_*_local share, a
+// mirror_write, or a redistribution ship — on this processor's storage
+// for req.slot under the server lock: paired storage offsets when offs
+// is set (applied in request order, so the last writer wins for
+// repeats), a strided local rectangle when step is set, a dense one
+// otherwise. It returns the entry's metadata for the mirror fan-out,
+// which must follow outside the lock (buddies mirror to each other, so
+// awaiting under the lock could deadlock a buddy ring).
+func (m *Manager) applyWrite(proc int, req *request) (*darray.Meta, Status) {
 	srv := m.servers[proc]
 	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	e, ok := srv.entries[req.id]
+	if !ok || e.freed {
+		return nil, StatusNotFound
+	}
 	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		srv.mu.Unlock()
-		return response{status: StatusError}
-	}
-	err := sec.ScatterFrom(req.vals, req.offs)
 	meta := e.meta
-	srv.mu.Unlock()
-	if err != nil {
-		return response{status: StatusError}
+	var err error
+	switch {
+	case sec == nil:
+		return nil, StatusError
+	case req.offs != nil:
+		if sec.ScatterFrom(req.vals, req.offs) != nil {
+			return nil, StatusError
+		}
+	case req.step != nil:
+		err = sec.WriteBlockStrided(req.vals, req.lo, req.hi, req.step, meta.LocalDims, meta.Borders, meta.Indexing)
+	default:
+		err = sec.WriteBlock(req.vals, req.lo, req.hi, meta.LocalDims, meta.Borders, meta.Indexing)
 	}
-	return response{status: m.mirrorWrite(proc, meta, req)}
+	if err != nil {
+		return nil, StatusInvalid
+	}
+	return meta, StatusOK
+}
+
+// finishWrite completes an owner write that applyWrite reported as st:
+// a successful write is mirrored to the slot's buddies, and a pooled
+// snapshot goes back to this owner's pool once nothing reads it any
+// more.
+func (m *Manager) finishWrite(proc int, meta *darray.Meta, req *request, st Status) Status {
+	if st == StatusOK {
+		st = m.mirrorWrite(proc, meta, req)
+	}
+	if req.pooled {
+		m.servers[proc].putBuf(req.vals)
+	}
+	return st
+}
+
+// doWriteLocal services one owner's share of a write in full on the
+// calling goroutine — the coordinator's own pieces.
+func (m *Manager) doWriteLocal(proc int, req *request) Status {
+	meta, st := m.applyWrite(proc, req)
+	return m.finishWrite(proc, meta, req, st)
+}
+
+// poolSnapshots reports whether a write coordinator may draw the value
+// snapshots it sends to owners from those owners' reply-buffer pools.
+// Only reliable mode allows it: a fault plan may deliver one request
+// twice, and a call policy may retransmit a request it has already
+// given up on, so either could make an owner write from a buffer that
+// was returned and handed to a later request (the gating of the
+// redistribution ship pools, newShipReq).
+func (m *Manager) poolSnapshots() bool {
+	return m.policy.Load() == nil && !m.machine.Router().Faulty()
+}
+
+// snapshot draws the n-element value snapshot of one owner's piece of a
+// write — messages between address spaces carry copies, never views. It
+// comes from the owner's reply-buffer pool when pool is set and the
+// owner lives in this OS process (pooled; the owner returns it,
+// finishWrite), from fresh heap otherwise.
+func (m *Manager) snapshot(pool bool, owner, n int) (vals []float64, pooled bool) {
+	if pool && m.machine.Router().Local(owner) {
+		return m.servers[owner].getBuf(n), true
+	}
+	return make([]float64, n), false
 }
 
 // copyRuns moves the dense data of owner block b between full (the buffer
@@ -1095,10 +1147,9 @@ func copyRuns(toFull bool, full, sub []float64, b darray.OwnerBlock, lo, rectDim
 // [lo, hi) by owning processor, scatters one read_block_local request to
 // every remote owner before waiting on any reply, services its own piece
 // while the remote owners work, then gathers the replies and assembles the
-// sub-blocks into one dense row-major buffer. Latency is one round trip to
-// the slowest owner, not the sum over owners. If the request carries a
-// caller-supplied buffer (ReadBlockInto), the rectangle is assembled
-// straight into it.
+// sub-blocks straight into the caller's dense row-major buffer (req.vals).
+// Latency is one round trip to the slowest owner, not the sum over
+// owners.
 func (m *Manager) doReadBlock(proc int, req *request) response {
 	e, st := m.lookup(proc, req.id)
 	if st != StatusOK {
@@ -1113,11 +1164,8 @@ func (m *Manager) doReadBlock(proc int, req *request) response {
 	}
 	rectDims := grid.RectDims(req.lo, req.hi)
 	out := req.vals
-	if out != nil && len(out) != grid.RectSize(req.lo, req.hi) {
+	if len(out) != grid.RectSize(req.lo, req.hi) {
 		return response{status: StatusInvalid}
-	}
-	if out == nil {
-		out = make([]float64, grid.RectSize(req.lo, req.hi))
 	}
 	// Scatter: post every remote request up front (sends never block).
 	replies := make([]*request, len(blocks))
@@ -1156,67 +1204,7 @@ func (m *Manager) doReadBlock(proc int, req *request) response {
 		copyRuns(true, out, r.vals, b, req.lo, rectDims)
 		m.recycle(b.Proc, r.vals)
 	}
-	if status != StatusOK {
-		return response{status: status}
-	}
-	return response{status: StatusOK, vals: out}
-}
-
-// doReadBlockSerial is the pre-concurrency coordinator, kept verbatim for
-// the E22 ablation: owners are visited one at a time, each paying a full
-// round trip before the next is contacted.
-func (m *Manager) doReadBlockSerial(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	if !e.meta.Regular() {
-		// Serial ablation of the irregular path: one owner at a time, a
-		// full round trip each, through the same offset sets.
-		sets, err := e.meta.OwnerLattice(req.lo, req.hi, nil)
-		if err != nil {
-			return response{status: StatusInvalid}
-		}
-		out := make([]float64, grid.RectSize(req.lo, req.hi))
-		for _, s := range sets {
-			sub := &request{op: "read_vector_local", id: req.id, offs: s.Offs, slot: s.Slot}
-			var r response
-			if s.Proc == proc {
-				r = m.doReadVectorLocal(proc, sub)
-			} else {
-				r = m.send(proc, s.Proc, sub)
-			}
-			if r.status != StatusOK {
-				return response{status: r.status}
-			}
-			for j, p := range s.Pos {
-				out[p] = r.vals[j]
-			}
-			m.recycle(s.Proc, r.vals)
-		}
-		return response{status: StatusOK, vals: out}
-	}
-	blocks, err := e.meta.OwnerBlocks(req.lo, req.hi)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	rectDims := grid.RectDims(req.lo, req.hi)
-	out := make([]float64, grid.RectSize(req.lo, req.hi))
-	for _, b := range blocks {
-		sub := &request{op: "read_block_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, slot: b.Slot}
-		var r response
-		if b.Proc == proc {
-			r = m.doReadBlockLocal(proc, sub)
-		} else {
-			r = m.send(proc, b.Proc, sub)
-		}
-		if r.status != StatusOK {
-			return response{status: r.status}
-		}
-		copyRuns(true, out, r.vals, b, req.lo, rectDims)
-		m.recycle(b.Proc, r.vals)
-	}
-	return response{status: StatusOK, vals: out}
+	return response{status: status}
 }
 
 // doReadBlockLocal services one owner's share of a bulk read into a pooled
@@ -1266,17 +1254,20 @@ func (m *Manager) doWriteBlock(proc int, req *request) response {
 	if len(req.vals) != grid.RectSize(req.lo, req.hi) {
 		return response{status: StatusInvalid}
 	}
+	pool := m.poolSnapshots()
+	// pack builds one owner's request around a dense snapshot of its piece.
+	pack := func(b darray.OwnerBlock) request {
+		vals, pooled := m.snapshot(pool, b.Proc, grid.RectSize(b.GlobalLo, b.GlobalHi))
+		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
+		return request{op: "write_block_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, pooled: pooled, slot: b.Slot}
+	}
 	replies := make([]*request, len(blocks))
 	for i, b := range blocks {
 		if b.Proc == proc {
 			continue
 		}
-		// Each remote owner gets its own dense snapshot of its piece —
-		// messages between address spaces carry copies, never views.
-		vals := make([]float64, grid.RectSize(b.GlobalLo, b.GlobalHi))
-		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
-		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: "write_block_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
+		r := pack(b)
+		replies[i] = m.sendAsync(proc, b.Proc, &r)
 	}
 	status := StatusOK
 	// Service every local block: after a failover promotion one processor
@@ -1285,11 +1276,9 @@ func (m *Manager) doWriteBlock(proc int, req *request) response {
 		if replies[i] != nil {
 			continue
 		}
-		vals := make([]float64, grid.RectSize(b.GlobalLo, b.GlobalHi))
-		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
-		r := m.doWriteBlockLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
-		if r.status != StatusOK {
-			status = r.status
+		r := pack(b)
+		if st := m.doWriteLocal(proc, &r); st != StatusOK {
+			status = st
 		}
 	}
 	for i := range blocks {
@@ -1301,27 +1290,6 @@ func (m *Manager) doWriteBlock(proc int, req *request) response {
 		}
 	}
 	return response{status: status}
-}
-
-func (m *Manager) doWriteBlockLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		srv.mu.Unlock()
-		return response{status: StatusError}
-	}
-	err := sec.WriteBlock(req.vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	meta := e.meta
-	srv.mu.Unlock()
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: m.mirrorWrite(proc, meta, req)}
 }
 
 // copyRunsStrided is copyRuns for a strided transfer: it moves owner block
@@ -1370,11 +1338,8 @@ func (m *Manager) doReadBlockStrided(proc int, req *request) response {
 	}
 	sdims := grid.StridedRectDims(req.lo, req.hi, req.step)
 	out := req.vals
-	if out != nil && len(out) != grid.StridedRectSize(req.lo, req.hi, req.step) {
+	if len(out) != grid.StridedRectSize(req.lo, req.hi, req.step) {
 		return response{status: StatusInvalid}
-	}
-	if out == nil {
-		out = make([]float64, grid.StridedRectSize(req.lo, req.hi, req.step))
 	}
 	replies := make([]*request, len(blocks))
 	for i, b := range blocks {
@@ -1409,10 +1374,7 @@ func (m *Manager) doReadBlockStrided(proc int, req *request) response {
 		copyRunsStrided(true, out, r.vals, b, req.lo, req.step, sdims)
 		m.recycle(b.Proc, r.vals)
 	}
-	if status != StatusOK {
-		return response{status: status}
-	}
-	return response{status: StatusOK, vals: out}
+	return response{status: status}
 }
 
 // doReadBlockStridedLocal services one owner's share of a strided bulk
@@ -1462,17 +1424,21 @@ func (m *Manager) doWriteBlockStrided(proc int, req *request) response {
 	if len(req.vals) != grid.StridedRectSize(req.lo, req.hi, req.step) {
 		return response{status: StatusInvalid}
 	}
+	pool := m.poolSnapshots()
+	// pack builds one owner's request around a packed snapshot of its
+	// piece.
+	pack := func(b darray.OwnerBlock) request {
+		vals, pooled := m.snapshot(pool, b.Proc, grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
+		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
+		return request{op: "write_block_strided_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, pooled: pooled, slot: b.Slot}
+	}
 	replies := make([]*request, len(blocks))
 	for i, b := range blocks {
 		if b.Proc == proc {
 			continue
 		}
-		// Each remote owner gets its own packed snapshot of its piece —
-		// messages between address spaces carry copies, never views.
-		vals := make([]float64, grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
-		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
-		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: "write_block_strided_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
+		r := pack(b)
+		replies[i] = m.sendAsync(proc, b.Proc, &r)
 	}
 	status := StatusOK
 	// Service every local block: after a failover promotion one processor
@@ -1481,11 +1447,9 @@ func (m *Manager) doWriteBlockStrided(proc int, req *request) response {
 		if replies[i] != nil {
 			continue
 		}
-		vals := make([]float64, grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
-		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
-		r := m.doWriteBlockStridedLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
-		if r.status != StatusOK {
-			status = r.status
+		r := pack(b)
+		if st := m.doWriteLocal(proc, &r); st != StatusOK {
+			status = st
 		}
 	}
 	for i := range blocks {
@@ -1497,27 +1461,6 @@ func (m *Manager) doWriteBlockStrided(proc int, req *request) response {
 		}
 	}
 	return response{status: status}
-}
-
-func (m *Manager) doWriteBlockStridedLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		srv.mu.Unlock()
-		return response{status: StatusError}
-	}
-	err := sec.WriteBlockStrided(req.vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	meta := e.meta
-	srv.mu.Unlock()
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: m.mirrorWrite(proc, meta, req)}
 }
 
 func (m *Manager) doFindLocal(proc int, req *request) response {
@@ -1669,10 +1612,10 @@ func (m *Manager) doUpdateMeta(proc int, req *request) response {
 // CreateArray services a create_array request made on processor onProc and
 // returns the new array's globally unique ID.
 func (m *Manager) CreateArray(onProc int, spec CreateSpec) (darray.ID, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return darray.ID{}, StatusInvalid
 	}
-	r := m.send(onProc, onProc, &request{op: "create_array", spec: &spec})
+	r := m.coordinate(onProc, &request{op: "create_array", spec: &spec}, (*Manager).doCreate)
 	if r.status != StatusOK {
 		return darray.ID{}, r.status
 	}
@@ -1681,10 +1624,10 @@ func (m *Manager) CreateArray(onProc int, spec CreateSpec) (darray.ID, Status) {
 
 // FreeArray deletes the array and frees all its local sections.
 func (m *Manager) FreeArray(onProc int, id darray.ID) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
-	return m.send(onProc, onProc, &request{op: "free_array", id: id}).status
+	return m.coordinate(onProc, &request{op: "free_array", id: id}, (*Manager).doFree).status
 }
 
 // GatherElements reads the elements at the given global index tuples,
@@ -1693,7 +1636,7 @@ func (m *Manager) FreeArray(onProc int, id darray.ID) Status {
 // owner holds — the indexed companion of ReadBlock for access patterns
 // with no rectangular structure.
 func (m *Manager) GatherElements(onProc int, id darray.ID, indices [][]int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return nil, StatusInvalid
 	}
 	out := make([]float64, len(indices))
@@ -1707,13 +1650,13 @@ func (m *Manager) GatherElements(onProc int, id darray.ID, indices [][]int) ([]f
 // must hold exactly len(indices) elements and receives the values in
 // place. dst is owned by the caller throughout.
 func (m *Manager) GatherElementsInto(onProc int, id darray.ID, indices [][]int, dst []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	if st, ok := m.localVectorFast(onProc, id, indices, true, dst); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
+	return m.sendData(onProc, []darray.ID{id}, (*Manager).doReadVector, func() *request {
 		return &request{op: "read_vector", id: id, gidxs: indices, vals: dst}
 	}).status
 }
@@ -1724,7 +1667,7 @@ func (m *Manager) GatherElementsInto(onProc int, id darray.ID, indices [][]int, 
 // wins). vals is never retained; remote owners receive their own
 // snapshots.
 func (m *Manager) ScatterElements(onProc int, id darray.ID, indices [][]int, vals []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	if len(indices) == len(vals) {
@@ -1732,7 +1675,7 @@ func (m *Manager) ScatterElements(onProc int, id darray.ID, indices [][]int, val
 			return st
 		}
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
+	return m.sendData(onProc, []darray.ID{id}, (*Manager).doWriteVector, func() *request {
 		return &request{op: "write_vector", id: id, gidxs: indices, vals: vals}
 	}).status
 }
@@ -1742,7 +1685,7 @@ func (m *Manager) ScatterElements(onProc int, id darray.ID, indices [][]int, val
 // scratch pool and a wholly-local element takes the router-free fast path,
 // so local element reads allocate nothing.
 func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return 0, StatusInvalid
 	}
 	s := elemScratchPool.Get().(*elemScratch)
@@ -1750,7 +1693,7 @@ func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64,
 	s.val[0] = 0 // failed reads report 0, not a stale pooled value
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, true, s.val[:])
 	if !ok {
-		st = m.sendData(onProc, []darray.ID{id}, func() *request {
+		st = m.sendData(onProc, []darray.ID{id}, (*Manager).doReadVector, func() *request {
 			return &request{op: "read_vector", id: id, gidxs: s.gidxs, vals: s.val[:]}
 		}).status
 	}
@@ -1767,7 +1710,7 @@ func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64,
 // degenerate case of ScatterElements, sharing ReadElement's scratch pool
 // and local fast path.
 func (m *Manager) WriteElement(onProc int, id darray.ID, indices []int, v float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	s := elemScratchPool.Get().(*elemScratch)
@@ -1775,7 +1718,7 @@ func (m *Manager) WriteElement(onProc int, id darray.ID, indices []int, v float6
 	s.val[0] = v
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, false, s.val[:])
 	if !ok {
-		st = m.sendData(onProc, []darray.ID{id}, func() *request {
+		st = m.sendData(onProc, []darray.ID{id}, (*Manager).doWriteVector, func() *request {
 			return &request{op: "write_vector", id: id, gidxs: s.gidxs, vals: s.val[:]}
 		}).status
 	}
@@ -1942,15 +1885,64 @@ var elemScratchPool = sync.Pool{New: func() any {
 // into a dense buffer linearized row-major over the rectangle. The
 // transfer is split by owning processor: the coordinator scatters one
 // message per remote owner concurrently, regardless of the rectangle's
-// element count, and gathers the replies.
+// element count, and gathers the replies. It allocates the buffer and
+// reads through ReadBlockInto, so a wholly-local rectangle takes the
+// local fast path.
 func (m *Manager) ReadBlock(onProc int, id darray.ID, lo, hi []int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	return m.readAlloc(onProc, id, lo, hi, nil)
+}
+
+// readAlloc backs ReadBlock and ReadBlockStrided: it sizes the result
+// from the (lo, hi, step) lattice — dense for step == nil — and reads
+// into it through the buffer-reuse entry point. Bounds that do not fit
+// the array as onProc knows it are never sized: the read goes ahead
+// with no buffer, and the coordinator reports the authoritative status.
+func (m *Manager) readAlloc(onProc int, id darray.ID, lo, hi, step []int) ([]float64, Status) {
+	if !m.hosts(onProc) {
 		return nil, StatusInvalid
 	}
-	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "read_block", id: id, lo: lo, hi: hi}
-	})
-	return r.vals, r.status
+	var out []float64
+	if n, ok := m.latticeSize(onProc, id, lo, hi, step); ok {
+		out = make([]float64, n)
+	}
+	var st Status
+	if step == nil {
+		st = m.ReadBlockInto(onProc, id, lo, hi, out)
+	} else {
+		st = m.ReadBlockStridedInto(onProc, id, lo, hi, step, out)
+	}
+	if st != StatusOK {
+		return nil, st
+	}
+	return out, StatusOK
+}
+
+// latticeSize returns the point count of the (lo, hi, step) lattice —
+// the dense rectangle for step == nil — of array id, or ok=false when
+// onProc holds no live entry for the array or the bounds do not lie
+// within its extents.
+func (m *Manager) latticeSize(onProc int, id darray.ID, lo, hi, step []int) (n int, ok bool) {
+	srv := m.servers[onProc]
+	srv.mu.Lock()
+	e, found := srv.entries[id]
+	var dims []int
+	if found && !e.freed {
+		dims = e.meta.Dims // never mutated after creation
+	}
+	srv.mu.Unlock()
+	if dims == nil {
+		return 0, false
+	}
+	if step == nil {
+		if grid.CheckRect(lo, hi, dims) != nil {
+			return 0, false
+		}
+		return grid.RectSize(lo, hi), true
+	}
+	if grid.CheckStridedRect(lo, hi, step, dims) != nil {
+		return 0, false
+	}
+	return grid.StridedRectSize(lo, hi, step), true
 }
 
 // ReadBlockInto is the buffer-reuse variant of ReadBlock: dst must hold
@@ -1961,26 +1953,15 @@ func (m *Manager) ReadBlock(onProc int, id darray.ID, lo, hi []int) ([]float64, 
 // assembles the remote pieces directly into dst. dst is owned by the
 // caller throughout — the manager retains no reference to it.
 func (m *Manager) ReadBlockInto(onProc int, id darray.ID, lo, hi []int, dst []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, nil, true, dst); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
+	return m.sendData(onProc, []darray.ID{id}, (*Manager).doReadBlock, func() *request {
 		return &request{op: "read_block", id: id, lo: lo, hi: hi, vals: dst}
 	}).status
-}
-
-// ReadBlockSerial is ReadBlock through the serial owner-at-a-time
-// coordinator. Ablation/benchmark use only (E22): it exists to measure
-// what the concurrent scatter/gather coordinator buys.
-func (m *Manager) ReadBlockSerial(onProc int, id darray.ID, lo, hi []int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
-	}
-	r := m.send(onProc, onProc, &request{op: "read_block_serial", id: id, lo: lo, hi: hi})
-	return r.vals, r.status
 }
 
 // WriteBlock writes a dense row-major buffer into the global rectangle
@@ -1991,13 +1972,13 @@ func (m *Manager) ReadBlockSerial(onProc int, id darray.ID, lo, hi []int) ([]flo
 // receive their own snapshots, so the caller may reuse the buffer as soon
 // as WriteBlock returns.
 func (m *Manager) WriteBlock(onProc int, id darray.ID, lo, hi []int, vals []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, nil, false, vals); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
+	return m.sendData(onProc, []darray.ID{id}, (*Manager).doWriteBlock, func() *request {
 		return &request{op: "write_block", id: id, lo: lo, hi: hi, vals: vals}
 	}).status
 }
@@ -2019,18 +2000,13 @@ func unitStep(step []int) bool {
 // concurrent request per owner holding a lattice point, however many
 // rows/columns the stride selects — so every-k-th-row access costs
 // O(#owners) messages instead of an index vector with one offset per
-// element. A unit step in every dimension delegates to the dense path.
+// element. A unit step in every dimension delegates to the dense path;
+// like ReadBlock, it reads through the buffer-reuse variant.
 func (m *Manager) ReadBlockStrided(onProc int, id darray.ID, lo, hi, step []int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
-	}
 	if len(step) == len(lo) && unitStep(step) {
 		return m.ReadBlock(onProc, id, lo, hi)
 	}
-	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "read_block_strided", id: id, lo: lo, hi: hi, step: step}
-	})
-	return r.vals, r.status
+	return m.readAlloc(onProc, id, lo, hi, step)
 }
 
 // ReadBlockStridedInto is the buffer-reuse variant of ReadBlockStrided:
@@ -2039,7 +2015,7 @@ func (m *Manager) ReadBlockStrided(onProc int, id darray.ID, lo, hi, step []int)
 // storage with no message and zero heap allocations (up to
 // darray.MaxFastDims dimensions); dst is owned by the caller throughout.
 func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []int, dst []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	if len(step) == len(lo) && unitStep(step) {
@@ -2048,7 +2024,7 @@ func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, step, true, dst); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
+	return m.sendData(onProc, []darray.ID{id}, (*Manager).doReadBlockStrided, func() *request {
 		return &request{op: "read_block_strided", id: id, lo: lo, hi: hi, step: step, vals: dst}
 	}).status
 }
@@ -2060,7 +2036,7 @@ func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []
 // the lattice are untouched; vals is never retained. A unit step in every
 // dimension delegates to the dense path.
 func (m *Manager) WriteBlockStrided(onProc int, id darray.ID, lo, hi, step []int, vals []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	if len(step) == len(lo) && unitStep(step) {
@@ -2069,7 +2045,7 @@ func (m *Manager) WriteBlockStrided(onProc int, id darray.ID, lo, hi, step []int
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, step, false, vals); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
+	return m.sendData(onProc, []darray.ID{id}, (*Manager).doWriteBlockStrided, func() *request {
 		return &request{op: "write_block_strided", id: id, lo: lo, hi: hi, step: step, vals: vals}
 	}).status
 }
@@ -2078,10 +2054,10 @@ func (m *Manager) WriteBlockStrided(onProc int, id darray.ID, lo, hi, step []int
 // suitable for passing to a data-parallel program. Only processors holding
 // a section may call it.
 func (m *Manager) FindLocal(onProc int, id darray.ID) (*darray.Section, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return nil, StatusInvalid
 	}
-	r := m.send(onProc, onProc, &request{op: "find_local", id: id})
+	r := m.coordinate(onProc, &request{op: "find_local", id: id}, (*Manager).doFindLocal)
 	return r.section, r.status
 }
 
@@ -2091,10 +2067,10 @@ func (m *Manager) FindLocal(onProc int, id darray.ID) (*darray.Section, Status) 
 // "grid_indexing_type"), "distribution" for the per-dimension
 // distributions ([]grid.Dist), or "meta" for the full metadata.
 func (m *Manager) FindInfo(onProc int, id darray.ID, which string) (any, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return nil, StatusInvalid
 	}
-	r := m.send(onProc, onProc, &request{op: "find_info", id: id, which: which})
+	r := m.coordinate(onProc, &request{op: "find_info", id: id, which: which}, (*Manager).doFindInfo)
 	return r.info, r.status
 }
 
@@ -2112,10 +2088,10 @@ func (m *Manager) Meta(onProc int, id darray.ID) (*darray.Meta, Status) {
 // borders, reallocating and copying local sections if the borders differ
 // (§4.2.7).
 func (m *Manager) VerifyArray(onProc int, id darray.ID, ndims int, borders BorderSpec, indexing grid.Indexing) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
-	return m.send(onProc, onProc, &request{
+	return m.coordinate(onProc, &request{
 		op: "verify_array", id: id, ndims: ndims, borders: borders, indexing: indexing,
-	}).status
+	}, (*Manager).doVerify).status
 }

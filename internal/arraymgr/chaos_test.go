@@ -1,10 +1,13 @@
 package arraymgr
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/darray"
 	"repro/internal/grid"
 	"repro/internal/msg"
 	"repro/internal/vp"
@@ -408,5 +411,72 @@ func TestCloseMidCallSurfacesError(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ReadBlock hung across Close")
+	}
+}
+
+// TestPooledWriteSnapshots runs several callers at once, each writing
+// whole-array values to its own array and reading them back, in two
+// modes. On the reliable router the write snapshots come from the
+// owners' reply-buffer pools, shared by every caller. Under a fault plan
+// that duplicates every message, with no call policy to give the second
+// copy a dedup id, each owner applies every write twice; were the
+// snapshots still pooled there, the first application would return the
+// buffer for reuse while the duplicate still had to read it, and the
+// second would return it again, so two later requests could share it
+// and one array's values would land in another. Every write must read
+// back bit-identical in both modes.
+func TestPooledWriteSnapshots(t *testing.T) {
+	const p, callers, rounds, n = 4, 4, 40, 64
+	for _, dup := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dup=%v", dup), func(t *testing.T) {
+			machine, m := newTestManager(t, p)
+			spec := basicSpec(p)
+			spec.Dims = []int{n, n}
+			ids := make([]darray.ID, callers)
+			for c := range ids {
+				ids[c] = mustCreate(t, m, 0, spec) // before any plan: creates must not run twice
+			}
+			if dup {
+				machine.Router().SetFaultPlan(&msg.FaultPlan{Seed: 17, Rule: msg.FaultRule{Dup: 1}})
+			}
+			lo, hi := []int{0, 0}, []int{n, n}
+			errs := make(chan error, callers)
+			var wg sync.WaitGroup
+			for c, id := range ids {
+				wg.Add(1)
+				go func(c int, id darray.ID) {
+					defer wg.Done()
+					vals := make([]float64, n*n)
+					got := make([]float64, n*n)
+					for r := 0; r < rounds; r++ {
+						for i := range vals {
+							vals[i] = float64(c<<24 | r<<16 | i)
+						}
+						if st := m.WriteBlock(0, id, lo, hi, vals); st != StatusOK {
+							errs <- fmt.Errorf("caller %d round %d: WriteBlock: %v", c, r, st)
+							return
+						}
+						if st := m.ReadBlockInto(0, id, lo, hi, got); st != StatusOK {
+							errs <- fmt.Errorf("caller %d round %d: ReadBlockInto: %v", c, r, st)
+							return
+						}
+						for i := range got {
+							if got[i] != vals[i] {
+								errs <- fmt.Errorf("caller %d round %d: element %d = %v, wrote %v", c, r, i, got[i], vals[i])
+								return
+							}
+						}
+					}
+				}(c, id)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if dup && machine.Router().FaultStats().Duplicated == 0 {
+				t.Fatal("fault plan duplicated nothing")
+			}
+		})
 	}
 }

@@ -21,9 +21,9 @@ func cyclicSpec(n, p int) CreateSpec {
 }
 
 // TestCyclicMessageBudget pins the cyclic coordinators' message budget:
-// rectangle transfers on a cyclic array still cost one coordinator request
-// plus one request per remote owning processor, independent of element
-// count, and owners the stride skips are never contacted.
+// rectangle transfers on a cyclic array still cost exactly one request per
+// remote owning processor, independent of element count, and owners the
+// stride skips are never contacted.
 func TestCyclicMessageBudget(t *testing.T) {
 	const p, n = 4, 32
 	machine, m := newTestManager(t, p)
@@ -36,7 +36,7 @@ func TestCyclicMessageBudget(t *testing.T) {
 	if st := m.WriteBlock(0, id, lo, hi, vals); st != StatusOK {
 		t.Fatalf("WriteBlock: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+(p-1)); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("cyclic WriteBlock sent %d messages, want %d", got, want)
 	}
 
@@ -44,7 +44,7 @@ func TestCyclicMessageBudget(t *testing.T) {
 	if _, st := m.ReadBlock(0, id, lo, hi); st != StatusOK {
 		t.Fatalf("ReadBlock: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+(p-1)); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("cyclic ReadBlock sent %d messages, want %d", got, want)
 	}
 
@@ -54,18 +54,18 @@ func TestCyclicMessageBudget(t *testing.T) {
 	if _, st := m.ReadBlockStrided(0, id, lo, hi, []int{2}); st != StatusOK {
 		t.Fatalf("ReadBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(1); got != want {
 		t.Errorf("cyclic strided read sent %d messages, want %d (skipped owners must stay uncontacted)", got, want)
 	}
 
 	// Indexed gather of elements all owned by one remote processor: one
-	// coordinator request plus one owner request.
+	// owner request.
 	indices := [][]int{{1}, {5}, {9}}
 	before = machine.Router().Sent()
 	if _, st := m.GatherElements(0, id, indices); st != StatusOK {
 		t.Fatalf("GatherElements: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(1); got != want {
 		t.Errorf("cyclic gather sent %d messages, want %d", got, want)
 	}
 }
@@ -176,35 +176,5 @@ func TestCyclicOwnerServerAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cyclic owner service: %v allocs/op, want 0 (pooled)", allocs)
-	}
-}
-
-// TestCyclicSerialEquivalence keeps the serial ablation honest on the
-// irregular path: owner-at-a-time reads of a cyclic array must return
-// exactly what the concurrent coordinator returns.
-func TestCyclicSerialEquivalence(t *testing.T) {
-	const p, n = 4, 24
-	_, m := newTestManager(t, p)
-	id := mustCreate(t, m, 0, cyclicSpec(n, p))
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(7*i + 3)
-	}
-	if st := m.WriteBlock(0, id, []int{0}, []int{n}, vals); st != StatusOK {
-		t.Fatalf("WriteBlock: %v", st)
-	}
-	lo, hi := []int{3}, []int{21}
-	want, st := m.ReadBlock(0, id, lo, hi)
-	if st != StatusOK {
-		t.Fatalf("ReadBlock: %v", st)
-	}
-	got, st := m.ReadBlockSerial(0, id, lo, hi)
-	if st != StatusOK {
-		t.Fatalf("ReadBlockSerial: %v", st)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("serial[%d] = %v, concurrent %v", i, got[i], want[i])
-		}
 	}
 }

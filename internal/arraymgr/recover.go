@@ -72,9 +72,11 @@ func (m *Manager) UseMembership(mem *msg.Membership) { m.membership.Store(mem) }
 // post-promotion reads bit-identical. A dead buddy degrades the replica
 // (counted in MirrorFailures), never the primary write. Called after
 // the server lock is released: buddies mirror to each other, so
-// awaiting under the lock could deadlock a buddy ring.
+// awaiting under the lock could deadlock a buddy ring. A buddy lands
+// its mirror_write with applyWrite on its serve loop and never forwards
+// it: mirrors fan out from the primary only.
 func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status {
-	if meta.Replicas == 0 || req.op == "mirror_write" {
+	if meta.Replicas == 0 {
 		return StatusOK
 	}
 	router := m.machine.Router()
@@ -113,36 +115,6 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 	return st
 }
 
-// doMirrorWrite lands one mirrored write on this processor's copy of the
-// slot — the buddy copy normally, the promoted primary after a failover.
-// It never forwards further: mirrors fan out from the primary only.
-func (m *Manager) doMirrorWrite(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		return response{status: StatusError}
-	}
-	var err error
-	switch {
-	case req.offs != nil:
-		err = sec.ScatterFrom(req.vals, req.offs)
-	case req.step != nil:
-		err = sec.WriteBlockStrided(req.vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	default:
-		err = sec.WriteBlock(req.vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	}
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: StatusOK}
-}
-
 // RecoverArray promotes buddies to primaries for every dead owner of the
 // array: each dead slot's first live buddy becomes its primary under a
 // bumped ownership epoch, and the new metadata is broadcast to every
@@ -157,7 +129,7 @@ func (m *Manager) RecoverArray(onProc int, id darray.ID) Status {
 // recoverArray is RecoverArray reporting how many slots were promoted,
 // which the replay wrapper uses to decide whether replaying can help.
 func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return 0, StatusInvalid
 	}
 	e, st := m.lookup(onProc, id)
@@ -240,16 +212,17 @@ func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
 // and P is finite.
 const maxRecoverAttempts = 3
 
-// sendData issues one data-plane coordinator call with transparent
-// failover: when the call fails because an owner died (StatusDown, or a
-// StatusTimeout that turns out to be a kill), the arrays' dead owners
-// are promoted and the call is replayed with a fresh request. Replays
-// re-execute any partial work of the failed attempt; every data-plane
-// op is idempotent (same payload, same destination state), so the
-// result is bit-identical to an undisturbed run. With no policy
-// installed there is no failure detection, hence no replay.
-func (m *Manager) sendData(onProc int, ids []darray.ID, build func() *request) response {
-	r := m.send(onProc, onProc, build())
+// sendData runs one data-plane coordinator call (coordinate) with
+// transparent failover: when the call fails because an owner died
+// (StatusDown, or a StatusTimeout that turns out to be a kill), the
+// arrays' dead owners are promoted and the call is replayed with a
+// fresh request from build. Replays re-execute any partial work of the
+// failed attempt; every data-plane op is idempotent (same payload, same
+// destination state), so the result is bit-identical to an undisturbed
+// run. With no policy installed there is no failure detection, hence no
+// replay.
+func (m *Manager) sendData(onProc int, ids []darray.ID, do coordinator, build func() *request) response {
+	r := m.coordinate(onProc, build(), do)
 	if m.policy.Load() == nil {
 		return r
 	}
@@ -265,7 +238,7 @@ func (m *Manager) sendData(onProc int, ids []darray.ID, build func() *request) r
 			break
 		}
 		m.replays.Add(1)
-		r = m.send(onProc, onProc, build())
+		r = m.coordinate(onProc, build(), do)
 	}
 	return r
 }
@@ -291,7 +264,7 @@ type CheckpointImage struct {
 // read plane: one request per owning processor, assembled into one dense
 // buffer on onProc.
 func (m *Manager) Checkpoint(onProc int, id darray.ID) (*CheckpointImage, Status) {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return nil, StatusInvalid
 	}
 	meta, st := m.Meta(onProc, id)
@@ -337,7 +310,7 @@ func (m *Manager) Checkpoint(onProc int, id darray.ID) (*CheckpointImage, Status
 // count. It returns the new array's ID: restart is re-creation, so the
 // old ID stays dead.
 func (m *Manager) Restore(onProc int, img *CheckpointImage, procs []int) (darray.ID, Status) {
-	if img == nil || m.machine.CheckProc(onProc) != nil {
+	if img == nil || !m.hosts(onProc) {
 		return darray.ID{}, StatusInvalid
 	}
 	if procs == nil {

@@ -28,8 +28,8 @@
 // bounce. Completion travels on an in-process ack channel shared by all
 // pairs — acks ride channels like request replies, so they cost no
 // messages. Ship traffic is one-way (no reply channel), so it travels
-// under its own reserved message kind and bypasses handle's
-// unconditional reply send.
+// under its own reserved message kind and bypasses dispatch's reply
+// send.
 package arraymgr
 
 import (
@@ -515,40 +515,12 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 // is returned to the pool of the source owner that drew it.
 func (m *Manager) doRedistShip(proc int, req *request) {
 	node, vals := req.node, req.vals
-	var meta *darray.Meta
-	e, st := m.lookup(proc, req.id)
+	meta, st := m.applyWrite(proc, req)
 	if st == StatusOK {
-		srv := m.servers[proc]
-		srv.mu.Lock()
-		sec := e.sectionFor(req.slot)
-		switch {
-		case sec == nil:
-			st = StatusError
-		case req.offs != nil:
-			if sec.ScatterFrom(vals, req.offs) != nil {
-				st = StatusError
-			}
-		case req.step != nil:
-			if sec.WriteBlockStrided(vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
-				st = StatusInvalid
-			}
-		default:
-			if sec.WriteBlock(vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
-				st = StatusInvalid
-			}
-		}
-		if st == StatusOK {
-			meta = e.meta
-		}
-		srv.mu.Unlock()
-	}
-	if meta != nil && meta.Replicas > 0 {
 		// Mirror before acking and before any recycling: the ack releases
 		// the coordinator, and the free lists must not reuse vals or req
 		// while a mirror is still reading them.
-		if mst := m.mirrorWrite(proc, meta, req); mst > st {
-			st = mst
-		}
+		st = m.mirrorWrite(proc, meta, req)
 	}
 	m.shipAck(proc, req, response{status: st, pair: req.pair})
 	router := m.machine.Router()
@@ -650,7 +622,7 @@ func (m *Manager) localRedistFast(proc int, dstID, srcID darray.ID, dstLo, srcLo
 // wholly-local transfer moves section-to-section with no message and
 // zero heap allocations.
 func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	n := len(lo)
@@ -670,7 +642,7 @@ func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Sta
 			}
 		}
 	}
-	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
+	return m.sendData(onProc, []darray.ID{dst, src}, (*Manager).doRedistribute, func() *request {
 		return &request{op: "redistribute", id: dst, id2: src, lo: lo, hi: hi, lo2: lo}
 	}).status
 }
@@ -681,7 +653,7 @@ func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Sta
 // origin in the destination array (a panel handoff into column 0, a
 // shifted copy). dstLo, srcLo and dims must have the same length.
 func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo, dims []int) Status {
-	if m.machine.CheckProc(onProc) != nil || len(srcLo) != len(dstLo) || len(dims) != len(dstLo) {
+	if !m.hosts(onProc) || len(srcLo) != len(dstLo) || len(dims) != len(dstLo) {
 		return StatusInvalid
 	}
 	if st, ok := m.localRedistFast(onProc, dst, src, dstLo, srcLo, dims, nil); ok {
@@ -691,7 +663,7 @@ func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo,
 	for i := range hi {
 		hi[i] = dstLo[i] + dims[i]
 	}
-	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
+	return m.sendData(onProc, []darray.ID{dst, src}, (*Manager).doRedistribute, func() *request {
 		return &request{op: "redistribute", id: dst, id2: src, lo: dstLo, hi: hi, lo2: srcLo}
 	}).status
 }
@@ -700,7 +672,7 @@ func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo,
 // rectangle [lo, hi) of array src onto the matching lattice of array
 // dst. A unit step in every dimension delegates to the dense path.
 func (m *Manager) RedistributeStrided(onProc int, dst, src darray.ID, lo, hi, step []int) Status {
-	if m.machine.CheckProc(onProc) != nil {
+	if !m.hosts(onProc) {
 		return StatusInvalid
 	}
 	if len(step) == len(lo) && unitStep(step) {
@@ -723,7 +695,7 @@ func (m *Manager) RedistributeStrided(onProc int, dst, src darray.ID, lo, hi, st
 			}
 		}
 	}
-	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
+	return m.sendData(onProc, []darray.ID{dst, src}, (*Manager).doRedistribute, func() *request {
 		return &request{op: "redistribute", id: dst, id2: src, lo: lo, hi: hi, lo2: lo, step: step}
 	}).status
 }

@@ -220,9 +220,9 @@ func TestRedistributeRectOrigins(t *testing.T) {
 }
 
 // TestRedistributeMessageBudget pins the direct plane's message count:
-// 1 coordinator self-send, plus one redist_src per remote source owner,
-// plus one redist_ship per cross-process owner pair — and nothing else.
-// The bounce reference on the same transfer is strictly worse.
+// one redist_src per remote source owner plus one redist_ship per
+// cross-process owner pair — and nothing else (the coordinator runs in
+// the caller).
 func TestRedistributeMessageBudget(t *testing.T) {
 	const p, n = 4, 16
 	machine, m := newTestManager(t, p)
@@ -235,32 +235,32 @@ func TestRedistributeMessageBudget(t *testing.T) {
 
 	// Whole array, block→cyclic: every one of the 16 (src,dst) owner
 	// pairs is non-empty; 4 pairs are same-process. Budget:
-	// 1 (API) + 3 (remote src owners) + 12 (cross pairs) = 16.
+	// 3 (remote src owners) + 12 (cross pairs) = 15.
 	before := machine.Router().Sent()
 	if st := m.Redistribute(0, dst, src, []int{0}, []int{n}); st != StatusOK {
 		t.Fatalf("Redistribute: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+3+12); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(3+12); got != want {
 		t.Errorf("block->cyclic whole-array redistribute sent %d messages, want %d", got, want)
 	}
 
 	// Step 2: lattice {0,2,...,14}. Each source owner holds two points,
 	// landing on destination owners 0 and 2 only: 8 pairs, 2 of them
-	// same-process. Budget: 1 + 3 + 6 = 10.
+	// same-process. Budget: 3 + 6 = 9.
 	before = machine.Router().Sent()
 	if st := m.RedistributeStrided(0, dst, src, []int{0}, []int{n}, []int{2}); st != StatusOK {
 		t.Fatalf("RedistributeStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+3+6); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(3+6); got != want {
 		t.Errorf("strided redistribute sent %d messages, want %d (skipped owners must stay uncontacted)", got, want)
 	}
 
-	// The bounce on the same whole-array transfer: a read round (1
-	// coordinator + 3 remote owners) plus a write round (1 + 3) = 8
-	// messages against 16 — but serialized through one process and
-	// carrying every byte twice. On the panel shapes of E26 the direct
-	// plane wins on messages too; here we only pin that the budget
-	// formula holds exactly.
+	// The bounce on the same whole-array transfer: a read round (3 remote
+	// owners) plus a write round (3) = 6 messages against 15 — but
+	// serialized through one process and carrying every byte twice. On
+	// the panel shapes of E26 the two tie on messages and the direct
+	// plane wins on hops; here we only pin that the budget formula holds
+	// exactly.
 	before = machine.Router().Sent()
 	buf, st := m.ReadBlock(0, src, []int{0}, []int{n})
 	if st != StatusOK {
@@ -269,7 +269,7 @@ func TestRedistributeMessageBudget(t *testing.T) {
 	if st := m.WriteBlock(0, dst, []int{0}, []int{n}, buf); st != StatusOK {
 		t.Fatalf("bounce write: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64((1+3)+(1+3)); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(3+3); got != want {
 		t.Errorf("bounce sent %d messages, want %d", got, want)
 	}
 }

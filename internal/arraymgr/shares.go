@@ -119,25 +119,25 @@ func (m *Manager) readShares(proc int, id darray.ID, shares []darray.StridedShar
 
 // writeShares drives the scatter half of the descriptor transfer: each
 // remote owner share receives one write_block_strided_local request
-// carrying its bounds and a fresh packed snapshot of its values
-// (messages between address spaces carry copies, never views), all
-// posted before any reply is awaited; the local share is written in
-// place and the statuses gathered.
+// carrying its bounds and a packed snapshot of its values (see
+// snapshot), all posted before any reply is awaited; the local share is
+// written in place and the statuses gathered.
 func (m *Manager) writeShares(proc int, id darray.ID, shares []darray.StridedShare, sdims []int, vals []float64) Status {
-	// pack builds one share's value vector in the share's row-major
-	// lattice order.
-	pack := func(sh darray.StridedShare) []float64 {
-		sub := make([]float64, grid.StridedRectSize(sh.Lo, sh.Hi, sh.Step))
+	pool := m.poolSnapshots()
+	// pack builds one share's request, its values in the share's
+	// row-major lattice order.
+	pack := func(sh darray.StridedShare) request {
+		sub, pooled := m.snapshot(pool, sh.Proc, grid.StridedRectSize(sh.Lo, sh.Hi, sh.Step))
 		copyShare(false, vals, sub, sh, sdims)
-		return sub
+		return request{op: "write_block_strided_local", id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, vals: sub, pooled: pooled, slot: sh.Slot}
 	}
 	replies := make([]*request, len(shares))
 	for i, sh := range shares {
 		if sh.Proc == proc {
 			continue
 		}
-		replies[i] = m.sendAsync(proc, sh.Proc,
-			&request{op: "write_block_strided_local", id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, vals: pack(sh), slot: sh.Slot})
+		r := pack(sh)
+		replies[i] = m.sendAsync(proc, sh.Proc, &r)
 	}
 	status := StatusOK
 	// Service every local share: after a failover promotion one processor
@@ -146,8 +146,9 @@ func (m *Manager) writeShares(proc int, id darray.ID, shares []darray.StridedSha
 		if replies[i] != nil {
 			continue
 		}
-		if r := m.doWriteBlockStridedLocal(proc, &request{id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, vals: pack(sh), slot: sh.Slot}); r.status != StatusOK {
-			status = r.status
+		r := pack(sh)
+		if st := m.doWriteLocal(proc, &r); st != StatusOK {
+			status = st
 		}
 	}
 	for i := range shares {

@@ -171,10 +171,9 @@ func TestStridedUnitStepDelegates(t *testing.T) {
 }
 
 // TestStridedMessageBudget asserts the strided plane's budget: fetching
-// every k-th row across P owning processors costs one coordinator request
-// plus one request per remote owner holding a lattice point — never one
-// message (or one index) per element, and owners the stride skips are
-// never contacted.
+// every k-th row across P owning processors costs exactly one request per
+// remote owner holding a lattice point — never one message (or one index)
+// per element, and owners the stride skips are never contacted.
 func TestStridedMessageBudget(t *testing.T) {
 	const p = 4
 	machine, m := newTestManager(t, p)
@@ -185,12 +184,12 @@ func TestStridedMessageBudget(t *testing.T) {
 
 	lo, hi := []int{0, 0}, []int{32, 16}
 
-	// Every 2nd row touches all 4 owners: 1 coordinator + 3 remote requests.
+	// Every 2nd row touches all 4 owners: 3 remote requests.
 	before := machine.Router().Sent()
 	if _, st := m.ReadBlockStrided(0, id, lo, hi, []int{2, 1}); st != StatusOK {
 		t.Fatalf("ReadBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+p-1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("every-2nd-row read sent %d messages, want %d", got, want)
 	}
 
@@ -198,7 +197,7 @@ func TestStridedMessageBudget(t *testing.T) {
 	if st := m.WriteBlockStrided(0, id, lo, hi, []int{2, 1}, make([]float64, 16*16)); st != StatusOK {
 		t.Fatalf("WriteBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+p-1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("every-2nd-row write sent %d messages, want %d", got, want)
 	}
 
@@ -208,7 +207,7 @@ func TestStridedMessageBudget(t *testing.T) {
 	if _, st := m.ReadBlockStrided(0, id, lo, hi, []int{16, 1}); st != StatusOK {
 		t.Fatalf("ReadBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(1); got != want {
 		t.Errorf("every-16th-row read sent %d messages, want %d (skipped owners contacted?)", got, want)
 	}
 }

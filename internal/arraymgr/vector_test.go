@@ -108,9 +108,10 @@ func TestGatherScatterPerElementEquivalence(t *testing.T) {
 }
 
 // TestGatherScatterMessageBudget asserts the indexed plane's budget: a
-// k-element gather or scatter across P owning processors costs at most one
-// request/reply pair per owner (here, one router message per request; the
-// reply rides a channel), never one per element.
+// k-element gather or scatter across P owning processors costs exactly one
+// request/reply pair per remote owner (one router message per request; the
+// reply rides a channel, and the coordinator runs in the caller), never
+// one per element.
 func TestGatherScatterMessageBudget(t *testing.T) {
 	const p = 4
 	machine, m := newTestManager(t, p)
@@ -120,20 +121,20 @@ func TestGatherScatterMessageBudget(t *testing.T) {
 	id := mustCreate(t, m, 0, spec)
 
 	// 32 indices spread over all 4 owners, from processor 0 (itself an
-	// owner): 1 coordinator request + 3 remote owner requests.
+	// owner): 3 remote owner requests.
 	indices := make([][]int, 32)
 	vals := make([]float64, len(indices))
 	for i := range indices {
 		indices[i] = []int{(i * 7) % 64}
 		vals[i] = float64(i)
 	}
-	budget := uint64(1 + p - 1)
+	budget := uint64(p - 1)
 
 	before := machine.Router().Sent()
 	if st := m.ScatterElements(0, id, indices, vals); st != StatusOK {
 		t.Fatalf("ScatterElements: %v", st)
 	}
-	if got := machine.Router().Sent() - before; got > budget {
+	if got := machine.Router().Sent() - before; got != budget {
 		t.Errorf("%d-element scatter across %d owners sent %d messages, budget %d", len(indices), p, got, budget)
 	}
 
@@ -141,12 +142,12 @@ func TestGatherScatterMessageBudget(t *testing.T) {
 	if _, st := m.GatherElements(0, id, indices); st != StatusOK {
 		t.Fatalf("GatherElements: %v", st)
 	}
-	if got := machine.Router().Sent() - before; got > budget {
+	if got := machine.Router().Sent() - before; got != budget {
 		t.Errorf("%d-element gather across %d owners sent %d messages, budget %d", len(indices), p, got, budget)
 	}
 
-	// All indices on one remote owner: exactly two messages (coordinator +
-	// that owner), regardless of k.
+	// All indices on one remote owner: exactly one message (to that
+	// owner), regardless of k.
 	remote := make([][]int, 16)
 	for i := range remote {
 		remote[i] = []int{48 + i%16}
@@ -155,8 +156,8 @@ func TestGatherScatterMessageBudget(t *testing.T) {
 	if _, st := m.GatherElements(0, id, remote); st != StatusOK {
 		t.Fatalf("GatherElements: %v", st)
 	}
-	if got := machine.Router().Sent() - before; got != 2 {
-		t.Errorf("single-owner gather sent %d messages, want 2", got)
+	if got := machine.Router().Sent() - before; got != 1 {
+		t.Errorf("single-owner gather sent %d messages, want 1", got)
 	}
 }
 

@@ -68,8 +68,8 @@ type wireShip struct {
 
 // wireRequest is the gob-encodable subset of request: every field an op
 // that can target a remote owner uses. CreateSpec and BorderSpec are
-// absent by design — create_array and verify_array are coordinator
-// self-sends, always local.
+// absent by design — create_array and verify_array run in the caller's
+// coordinator and never travel as requests.
 type wireRequest struct {
 	Op      string
 	ID, ID2 darray.ID
@@ -268,17 +268,15 @@ func (m *Manager) deliverAck(w *wireAck) {
 // the wire. Section results never cross (Find is local-only).
 func (m *Manager) respond(proc int, req *request, resp response) {
 	if req.reply != nil {
-		if req.seq != 0 {
-			// Recovery mode: the coordinator may have abandoned this call
-			// (timeout, dead peer) with a late reply already buffered; never
-			// let a server goroutine block on the one-shot channel.
-			select {
-			case req.reply <- resp:
-			default:
-			}
-			return
+		// The channel holds the one reply of a request executed once. A
+		// second execution — a router-duplicated delivery without a call
+		// policy's dedup id — or a reply to a call the coordinator
+		// already abandoned is dropped: most replies are sent from the
+		// serve loop itself, which must never block.
+		select {
+		case req.reply <- resp:
+		default:
 		}
-		req.reply <- resp
 		return
 	}
 	if req.replyID == 0 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arraymgr"
 	"repro/internal/msg"
+	msgnet "repro/internal/msg/net"
 )
 
 // TestSentinelUnwrap pins the static unwrap chain: each transport-
@@ -122,5 +123,89 @@ func TestErrClosedRoundTrip(t *testing.T) {
 	}
 	if !errors.Is(err, msg.ErrClosed) {
 		t.Fatalf("errors.Is(err, msg.ErrClosed) = false for %v", err)
+	}
+}
+
+// TestCallOnNonHostedProcRejected pins the entry-point check of a
+// partitioned machine. An array-manager call runs its coordinator on the
+// calling goroutine against onProc's server state, and owners address
+// their replies to onProc, so onProc must live in the calling OS
+// process. A call naming a processor hosted by another part is refused
+// at once with StatusInvalid, not left waiting for replies delivered to
+// the other part. The parts are two in-process routers joined by the
+// loopback TCP transport.
+func TestCallOnNonHostedProcRejected(t *testing.T) {
+	const p, nparts = 4, 2
+	t0, err := msgnet.Listen("127.0.0.1:0", p, nparts)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	m0 := New(p, WithRouterSetup(func(r *msg.Router) {
+		r.SetTransport(t0, msgnet.HostedMap(p, nparts, 0))
+		t0.Attach(r)
+	}))
+	t1, err := msgnet.Dial(t0.Addr(), p, nparts, 1)
+	if err != nil {
+		t0.Close()
+		m0.Close()
+		t.Fatalf("Dial: %v", err)
+	}
+	m1 := New(p, WithRouterSetup(func(r *msg.Router) {
+		r.SetTransport(t1, msgnet.HostedMap(p, nparts, 1))
+		t1.Attach(r)
+	}))
+	t.Cleanup(func() {
+		t0.Shutdown()
+		m0.Close()
+		m1.Close()
+		t1.Wait()
+	})
+	if err := t0.WaitPeers(10 * time.Second); err != nil {
+		t.Fatalf("WaitPeers: %v", err)
+	}
+	// A policy bounds the wait for the case this test guards against.
+	m0.SetCallPolicy(&arraymgr.CallPolicy{Timeout: 300 * time.Millisecond, Retries: 1})
+
+	a, err := m0.NewArray(ArraySpec{Dims: []int{16}})
+	if err != nil {
+		t.Fatalf("NewArray: %v", err)
+	}
+	lo, hi := []int{0}, []int{16}
+	vals := make([]float64, 16)
+	for i := range vals {
+		vals[i] = float64(3 * i)
+	}
+	if err := a.WriteBlock(lo, hi, vals); err != nil {
+		t.Fatalf("WriteBlock from part 0: %v", err)
+	}
+
+	// Processor 2 is hosted by part 1.
+	am := m0.AM
+	start := time.Now()
+	if _, st := am.FindInfo(2, a.ID(), "type"); st != arraymgr.StatusInvalid {
+		t.Errorf("FindInfo on a non-hosted processor: %v, want %v", st, arraymgr.StatusInvalid)
+	}
+	if _, st := am.ReadBlock(2, a.ID(), lo, hi); st != arraymgr.StatusInvalid {
+		t.Errorf("ReadBlock on a non-hosted processor: %v, want %v", st, arraymgr.StatusInvalid)
+	}
+	if st := am.WriteBlock(2, a.ID(), lo, hi, vals); st != arraymgr.StatusInvalid {
+		t.Errorf("WriteBlock on a non-hosted processor: %v, want %v", st, arraymgr.StatusInvalid)
+	}
+	if _, st := am.CreateArray(3, arraymgr.CreateSpec{Dims: []int{4}, Procs: []int{0, 1}}); st != arraymgr.StatusInvalid {
+		t.Errorf("CreateArray on a non-hosted processor: %v, want %v", st, arraymgr.StatusInvalid)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("refusals took %v; want them at once", d)
+	}
+
+	// A hosted processor still reaches the remote owners.
+	got, err := a.ReadBlock(lo, hi)
+	if err != nil {
+		t.Fatalf("ReadBlock from part 0: %v", err)
+	}
+	for i := range got {
+		if got[i] != vals[i] {
+			t.Fatalf("element %d = %v, want %v", i, got[i], vals[i])
+		}
 	}
 }

@@ -1152,13 +1152,15 @@ func E25TriangularCyclic(w io.Writer) error {
 // path computes the src-owner/dst-owner intersection lattice and ships
 // every non-empty pair owner-to-owner in at most one message; the baseline
 // bounces each panel through the calling processor as a block read
-// followed by a block write. Under a modeled 20µs interconnect hop the
-// direct path wins on both actual message count (P-1 fewer: the panel's
-// elements never visit the caller) and modeled critical-path hops (one
-// hop per remote panel instead of two: ship straight to the destinations
-// instead of in and out of the caller). Numerics are verified: both modes
-// must reproduce the sequential elimination exactly, the direct mode's
-// factors riding the redistributed panels end to end.
+// followed by a block write. Both send the same P²-1 messages — the
+// coordinators run in the caller, so neither pays a request to reach
+// one — but under a modeled 20µs interconnect hop the direct path wins
+// on critical-path hops (three legs per remote panel instead of four:
+// the panel ships straight to its destinations instead of in and out of
+// the caller), and the panel's elements cross the interconnect once
+// instead of twice. Numerics are verified: both modes must reproduce the
+// sequential elimination exactly, the direct mode's factors riding the
+// redistributed panels end to end.
 func E26PanelHandoff(w io.Writer) error {
 	fmt.Fprintln(w, "E26 direct redistribution vs gather-then-scatter: block→cyclic panel handoff")
 	fmt.Fprintln(w, "n    P   mode    messages  hops  modeled makespan")
@@ -1193,8 +1195,8 @@ func E26PanelHandoff(w io.Writer) error {
 				c.n, c.p, mode.name, res.HandoffMsgs, res.HandoffHops,
 				time.Duration(res.HandoffHops)*hop)
 		}
-		if msgs["direct"] >= msgs["bounce"] {
-			return fmt.Errorf("E26: P=%d direct messages %d not below bounce %d", c.p, msgs["direct"], msgs["bounce"])
+		if msgs["direct"] > msgs["bounce"] {
+			return fmt.Errorf("E26: P=%d direct messages %d above bounce %d", c.p, msgs["direct"], msgs["bounce"])
 		}
 		if hops["direct"] >= hops["bounce"] {
 			return fmt.Errorf("E26: P=%d direct hops %d not below bounce %d", c.p, hops["direct"], hops["bounce"])
